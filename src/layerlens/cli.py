@@ -201,11 +201,14 @@ def _save_heatmap(values: np.ndarray, path: Path) -> None:
         fh.write(f"min={_fmt(lo)} max={_fmt(hi)}\n")
 
 
+def _granulometry_summary(mask, gran_max):
+    return None if gran_max is None else lm.granulometry(mask, gran_max).mean_size
+
+
 def _explain_metrics(amap_values, box, edge, percentile, gran_max):
     mask = lm.binarize_percentile(amap_values, percentile)
     gt = lm.rasterize_box(box, (edge, edge))
-    spectrum = lm.granulometry(mask, gran_max)
-    return lm.iou(mask, gt), spectrum.mean_size
+    return lm.iou(mask, gt), _granulometry_summary(mask, gran_max)
 
 
 def _lime_for_image(spec, params, image, label, cfg, image_seed):
@@ -225,12 +228,15 @@ def _lime_for_image(spec, params, image, label, cfg, image_seed):
     return mask, weight_map
 
 
-def _explain_image(spec, params, ann, image, cfg, methods, taps, master_seed):
-    """All (method, tap) results for one image; pure, thread-safe."""
+def _explain_image(spec, params, ann, image, cfg, methods, taps, master_seed,
+                   with_granulometry=True):
+    """All (method, tap) results for one image; pure, thread-safe.
+
+    Without granulometry the rows' granulometry summary is None."""
     edge = cfg["dataset"]["image_edge"]
     percentile = cfg["explain"]["percentile"]
     sigma = cfg["explain"]["sigma"]
-    gran_max = cfg["granulometry"]["max_size"]
+    gran_max = cfg["granulometry"]["max_size"] if with_granulometry else None
     label = ann.label
     out = []  # (method, tap, heat values, row)
     cache = {}
@@ -257,10 +263,9 @@ def _explain_image(spec, params, ann, image, cfg, methods, taps, master_seed):
                 mask, weight_map = cache["lime"]
                 gt = lm.rasterize_box(ann.box, (edge, edge))
                 ov = lm.lime_overlap(mask, ann.box)
-                spectrum = lm.granulometry(mask, gran_max)
                 out.append((method, tap, np.maximum(weight_map, 0.0),
                             (ann.image_id, method, tap, lm.iou(mask, gt), None,
-                             spectrum.mean_size, ov.count, ov.fraction)))
+                             _granulometry_summary(mask, gran_max), ov.count, ov.fraction)))
     return out
 
 
@@ -311,8 +316,11 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 
     def one(item):
         ann, image = item
-        res_cl = _explain_image(spec, params_cl, ann, image, cfg, methods, taps, cfg.seed)
-        res_e2e = _explain_image(spec, params_e2e, ann, image, cfg, methods, taps, cfg.seed)
+        # only the IOUs are kept, so no granulometry
+        res_cl = _explain_image(spec, params_cl, ann, image, cfg, methods, taps, cfg.seed,
+                                with_granulometry=False)
+        res_e2e = _explain_image(spec, params_e2e, ann, image, cfg, methods, taps, cfg.seed,
+                                 with_granulometry=False)
         rows = []
         for (m1, t1, _, row1), (m2, t2, _, row2) in zip(res_cl, res_e2e):
             rows.append((ann.image_id, m1, t1, row1[3], row2[3]))
@@ -524,3 +532,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -98,14 +98,15 @@ def coord_loss_arrays(pred: np.ndarray, obj: np.ndarray, coords: np.ndarray):
 
     pred: (..., S, S, B, 4); obj: (..., S, S) bool; coords: (..., S, S, 4).
     Returns (loss, d_pred). Predicted extents must be positive where obj is
-    set (the squash guarantees it); asserted, not silently clipped.
+    set (the squash guarantees it); a ShapeError is raised otherwise, the
+    extents are never silently clipped.
     """
     pred = nm.as_f64(pred)
     mask = obj[..., None].astype(float)                      # (..., S, S, 1)
     t = coords[..., None, :]                                  # (..., S, S, 1, 4)
     pw, ph = pred[..., 2], pred[..., 3]
-    assert np.all(pw[obj.astype(bool)] > 0) and np.all(ph[obj.astype(bool)] > 0), \
-        "predicted extents must be positive on responsible cells"
+    if not (np.all(pw[obj.astype(bool)] > 0) and np.all(ph[obj.astype(bool)] > 0)):
+        raise ShapeError("predicted extents must be positive on responsible cells")
     d_pred = np.zeros_like(pred)
 
     dxy = pred[..., :2] - t[..., :2]

@@ -133,8 +133,14 @@ class GranulometrySpectrum:
 
 
 def _opening(mask: np.ndarray, size: int) -> np.ndarray:
-    se = np.ones((2 * size + 1, 2 * size + 1), dtype=bool)
-    return ndimage.binary_opening(mask, structure=se)
+    """Binary opening by the (2*size+1)-edge square, background outside.
+
+    A square is separable, so erosion and dilation are running min and max
+    filters; this equals ``ndimage.binary_opening`` with the dense square.
+    """
+    edge = 2 * size + 1
+    eroded = ndimage.minimum_filter(mask, size=edge, mode="constant", cval=0)
+    return ndimage.maximum_filter(eroded, size=edge, mode="constant", cval=0)
 
 
 def granulometry(mask, max_size: int) -> GranulometrySpectrum:

@@ -258,11 +258,18 @@ def _layer_forward(layer: Layer, block, x):
     raise SpecError(f"unknown layer {layer!r}")
 
 
-def _layer_backward(layer: Layer, block, x_in, d_out):
-    """Returns (d_input, param_grads_or_None)."""
+def _layer_backward(layer: Layer, block, x_in, d_out, want_input: bool = True,
+                    want_params: bool = True):
+    """Returns (d_input, param_grads_or_None).
+
+    A conv layer skips the input gradient when ``want_input`` is false
+    (d_input is then None) and its kernel gradients when ``want_params`` is
+    false; other layers compute everything, which is cheap for them.
+    """
     if isinstance(layer, Conv):
-        d_x, d_k, d_b = nm.conv2d_backward(x_in, block[0], d_out, layer.stride, layer.pad)
-        return d_x, (d_k, d_b)
+        d_x, d_k, d_b = nm.conv2d_backward(x_in, block[0], d_out, layer.stride, layer.pad,
+                                           want_input=want_input, want_params=want_params)
+        return d_x, ((d_k, d_b) if want_params else None)
     if isinstance(layer, Relu):
         return nm.relu_backward(x_in, d_out), None
     if isinstance(layer, Pool):
@@ -273,12 +280,6 @@ def _layer_backward(layer: Layer, block, x_in, d_out):
         d_x, d_w, d_b = nm.dense_backward(x_in, block[0], d_out)
         return d_x, (d_w, d_b)
     raise SpecError(f"unknown layer {layer!r}")
-
-
-def layer_grad(layer: Layer, block, x_in, d_out) -> nm.LayerGrad:
-    """Backward pass packed into the uniform carrier type."""
-    d_input, grads = _layer_backward(layer, block, x_in, d_out)
-    return nm.LayerGrad.pack(d_input, *(grads or ()))
 
 
 def run_span(spec: NetworkSpec, params: ModelParams, x, lo: int, hi: int, want_caches: bool = False):
@@ -344,7 +345,8 @@ def backward_to_tap(spec: NetworkSpec, params: ModelParams, batch, class_index: 
     g[:, class_index] = 1.0
     boundary = -1 if tap == 0 else spec.tap_layers[tap - 1]
     for i in range(last, boundary, -1):
-        g, _ = _layer_backward(spec.layers[i], params.blocks[i], caches[i], g)
+        g, _ = _layer_backward(spec.layers[i], params.blocks[i], caches[i], g,
+                               want_params=False)
     return g
 
 

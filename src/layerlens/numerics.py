@@ -8,8 +8,6 @@ rank-4 arrays throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -28,22 +26,6 @@ def check_tensor4(x, name: str = "input") -> np.ndarray:
     if x.ndim != 4:
         raise ShapeError(f"{name}: expected rank-4 (n, c, h, w), got shape {x.shape}")
     return x
-
-
-@dataclass
-class LayerGrad:
-    """Uniform gradient bundle: input gradient plus flattened parameter gradient."""
-
-    d_input: np.ndarray
-    d_params: np.ndarray  # empty for parameterless layers
-
-    @classmethod
-    def pack(cls, d_input: np.ndarray, *param_grads: np.ndarray) -> "LayerGrad":
-        if param_grads:
-            flat = np.concatenate([as_f64(g).ravel() for g in param_grads])
-        else:
-            flat = np.empty(0, dtype=np.float64)
-        return cls(d_input=d_input, d_params=flat)
 
 
 def _pair(v) -> tuple[int, int]:
@@ -112,8 +94,14 @@ def conv2d_param_grads(x, kernel_shape, d_out, stride: int = 1, pad=0):
     return d_kernel, d_bias
 
 
-def conv2d_backward(x, kernel, d_out, stride: int = 1, pad=0):
-    """Analytic gradients of conv2d: returns (d_input, d_kernel, d_bias)."""
+def conv2d_backward(x, kernel, d_out, stride: int = 1, pad=0, *,
+                    want_input: bool = True, want_params: bool = True):
+    """Analytic gradients of conv2d: returns (d_input, d_kernel, d_bias).
+
+    ``want_input=False`` skips the input gradient and ``want_params=False``
+    the kernel and bias gradients; a skipped entry is returned as None. What
+    is computed is identical to the full call.
+    """
     x = check_tensor4(x, "conv input")
     kernel = as_f64(kernel)
     d_out = check_tensor4(d_out, "conv upstream gradient")
@@ -121,16 +109,18 @@ def conv2d_backward(x, kernel, d_out, stride: int = 1, pad=0):
     out_c, in_c, kh, kw = kernel.shape
     ph, pw = _pair(pad)
 
-    d_kernel, d_bias = conv2d_param_grads(x, kernel.shape, d_out, stride, pad)
-
-    # d_input: scatter d_out onto the stride grid, then full-correlate with the
-    # flipped kernel (transposed convolution).
-    hd, wd = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    d_dil = np.zeros((n, out_c, hd, wd), dtype=np.float64)
-    d_dil[:, :, ::stride, ::stride] = d_out
-    k_flip = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    d_full = conv2d(d_dil, k_flip, None, stride=1, pad=(kh - 1, kw - 1))
-    d_input = d_full[:, :, ph:ph + h, pw:pw + w]
+    d_kernel = d_bias = d_input = None
+    if want_params:
+        d_kernel, d_bias = conv2d_param_grads(x, kernel.shape, d_out, stride, pad)
+    if want_input:
+        # scatter d_out onto the stride grid, then full-correlate with the
+        # flipped kernel (transposed convolution)
+        hd, wd = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+        d_dil = np.zeros((n, out_c, hd, wd), dtype=np.float64)
+        d_dil[:, :, ::stride, ::stride] = d_out
+        k_flip = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        d_full = conv2d(d_dil, k_flip, None, stride=1, pad=(kh - 1, kw - 1))
+        d_input = d_full[:, :, ph:ph + h, pw:pw + w]
     return d_input, d_kernel, d_bias
 
 
@@ -143,6 +133,20 @@ def relu_backward(x, d_out) -> np.ndarray:
     return np.where(x > 0, as_f64(d_out), 0.0)
 
 
+def _pool_offsets(shape: tuple, window: int, stride: int) -> list[tuple]:
+    """One index per window offset, in row-major offset order.
+
+    Indexing a (n, c, h, w) array with the entry for offset (di, dj) gives a
+    view of pooled shape (n, c, oh, ow) holding every window's element at
+    that offset; trailing partial windows are truncated.
+    """
+    h, w = shape[2:]
+    rows = stride * (_out_len(h, window, stride, 0) - 1) + 1
+    cols = stride * (_out_len(w, window, stride, 0) - 1) + 1
+    return [(slice(None), slice(None), slice(di, di + rows, stride), slice(dj, dj + cols, stride))
+            for di in range(window) for dj in range(window)]
+
+
 def maxpool2d(x, window: int, stride: int | None = None) -> Tensor4:
     """Per-window maximum; trailing partial windows are truncated."""
     x = check_tensor4(x, "pool input")
@@ -150,23 +154,30 @@ def maxpool2d(x, window: int, stride: int | None = None) -> Tensor4:
     n, c, h, w = x.shape
     if window > h or window > w:
         raise ShapeError(f"pool window {window} larger than input spatial dims {(h, w)}")
-    win = _windows(x, window, window, stride, 0)
-    return win.max(axis=(4, 5))
+    first, *rest = _pool_offsets(x.shape, window, stride)
+    out = x[first].copy()
+    for idx in rest:
+        np.maximum(out, x[idx], out=out)
+    return out
 
 
 def maxpool2d_backward(x, d_out, window: int, stride: int | None = None) -> np.ndarray:
-    """Routes gradient to each window's argmax, first occurrence in row-major order."""
+    """Routes gradient to each window's argmax, first occurrence in row-major order.
+
+    Offsets are visited in row-major order and ``taken`` marks the windows
+    already routed, so a tied maximum sends the gradient to its first
+    occurrence only.
+    """
     x = check_tensor4(x, "pool input")
     d_out = check_tensor4(d_out, "pool upstream gradient")
     stride = window if stride is None else stride
-    n, c, h, w = x.shape
-    win = _windows(x, window, window, stride, 0)
-    oh, ow = win.shape[2], win.shape[3]
-    arg = win.reshape(n, c, oh, ow, -1).argmax(axis=-1)
-    rows, cols = arg // window, arg % window
-    ni, ci, oi, oj = np.indices((n, c, oh, ow))
-    d_x = np.zeros_like(x)
-    np.add.at(d_x, (ni, ci, oi * stride + rows, oj * stride + cols), d_out)
+    pooled = maxpool2d(x, window, stride)
+    d_x = np.zeros(x.shape)
+    taken = np.zeros(pooled.shape, dtype=bool)
+    for idx in _pool_offsets(x.shape, window, stride):
+        hit = (x[idx] == pooled) & ~taken
+        taken |= hit
+        d_x[idx] += np.where(hit, d_out, 0.0)
     return d_x
 
 

@@ -165,6 +165,9 @@ def _train_span(
         if params.blocks[i] is not None
     }
     head_vel = None if head is None else [np.zeros_like(head.weights), np.zeros_like(head.bias)]
+    # backpropagation ends at the lowest layer with parameters, whose input
+    # gradient nothing uses
+    bottom = min(vel, default=hi + 1)
 
     best_val = np.inf
     stall = 0
@@ -191,8 +194,9 @@ def _train_span(
                 g = d_scores
                 head_grads = None
             layer_grads: dict[int, tuple] = {}
-            for i in range(hi, lo - 1, -1):
-                g, grads = net._layer_backward(spec.layers[i], params.blocks[i], caches[i - lo], g)
+            for i in range(hi, bottom - 1, -1):
+                g, grads = net._layer_backward(spec.layers[i], params.blocks[i],
+                                               caches[i - lo], g, want_input=i > bottom)
                 if grads is not None:
                     layer_grads[i] = grads
                     flat_grads.extend(grads)

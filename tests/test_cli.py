@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import layerlens
 from layerlens import data as dat
 from layerlens import explain as ex
 from layerlens import locmetrics as lm
@@ -64,6 +68,18 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 
 def test_missing_config_file_exit_2(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "generate"]) == 2
+
+
+def test_module_entry_point_runs_main(tmp_path):
+    """``python -m layerlens.cli`` runs the CLI and returns its exit code."""
+    src = str(Path(layerlens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "layerlens.cli", "--config", str(tmp_path / "nope.json"),
+         "generate"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
 
 
 def test_config_rejects_nested_unknown_key(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from layerlens import detect as dt
 from layerlens import network as net
 from layerlens import numerics as nm
+from layerlens.errors import ShapeError
 from layerlens.locmetrics import GtBox
 from layerlens.seeding import make_rng
 from layerlens.training import TrainConfig
@@ -114,6 +115,16 @@ def test_coord_loss_ignores_non_responsible_cells():
     pred2[1 - r, 1 - c, 0] = (0.9, 0.9, 0.9, 0.9)
     changed, _ = dt.yolo_coord_loss(pred2, target)
     assert base == changed == 0.0
+
+
+def test_coord_loss_rejects_nonpositive_extent():
+    """A raised error, not an assert, so the check survives ``python -O``."""
+    target = make_target_single()
+    pred = np.full((2, 2, 1, 4), 0.5)
+    r, c = np.argwhere(target.obj)[0]
+    pred[r, c, 0, 3] = 0.0
+    with pytest.raises(ShapeError, match="extents must be positive"):
+        dt.yolo_coord_loss(pred, target)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -277,6 +277,23 @@ def test_granulometry_opening_is_anti_extensive():
         assert not np.any(opened & ~mask)
 
 
+@given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 24), w=st.integers(1, 24),
+       density=st.floats(0.0, 1.0), size=st.integers(1, 6))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_opening_matches_binary_opening(seed, h, w, density, size):
+    """Separable min/max opening equals scipy's opening by the dense square,
+    masks smaller than the structuring element included."""
+    from scipy import ndimage
+
+    rng = make_rng(seed)
+    mask = rng.random((h, w)) < density
+    se = np.ones((2 * size + 1, 2 * size + 1), dtype=bool)
+    expect = ndimage.binary_opening(mask, structure=se)
+    got = lm._opening(mask, size)
+    assert got.dtype == bool
+    assert np.array_equal(got, expect)
+
+
 def test_dilating_inside_box_never_lowers_iou():
     from scipy import ndimage
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from layerlens import numerics as nm
 from layerlens.errors import ShapeError
@@ -62,6 +63,24 @@ def test_conv_backward_matches_finite_differences(seed):
     assert rel_err(d_x, nm.finite_diff_grad(loss_x, x)) < 1e-5
     assert rel_err(d_k, nm.finite_diff_grad(loss_k, k)) < 1e-5
     assert rel_err(d_b, nm.finite_diff_grad(loss_b, b)) < 1e-5
+
+
+@pytest.mark.parametrize("stride, pad", [(1, 1), (2, 0), (2, 1), (1, 0)])
+def test_conv_backward_partial_requests_equal_full_call(stride, pad):
+    rng = make_rng(stride * 10 + pad)
+    x = rng.standard_normal((4, 3, 9, 9))
+    k = rng.standard_normal((5, 3, 3, 3))
+    up = rng.standard_normal(nm.conv2d(x, k, None, stride, pad).shape)
+    d_x, d_k, d_b = nm.conv2d_backward(x, k, up, stride, pad)
+
+    only_input = nm.conv2d_backward(x, k, up, stride, pad, want_params=False)
+    assert only_input[1] is None and only_input[2] is None
+    assert np.array_equal(only_input[0], d_x)
+
+    only_params = nm.conv2d_backward(x, k, up, stride, pad, want_input=False)
+    assert only_params[0] is None
+    assert np.array_equal(only_params[1], d_k)
+    assert np.array_equal(only_params[2], d_b)
 
 
 @given(scale=st.floats(-3, 3), seed=st.integers(0, 2**31 - 1))
@@ -130,6 +149,59 @@ def test_maxpool_truncates_trailing():
     y = nm.maxpool2d(x, 2, 2)
     assert y.shape == (1, 1, 2, 2)
     assert y[0, 0, 1, 1] == 18.0
+
+
+def windows_maxpool(x, window, stride):
+    """Reference max-pool: sliding windows, argmax routing through np.add.at."""
+    win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win, win.max(axis=(4, 5))
+
+
+def windows_maxpool_backward(x, d_out, window, stride):
+    win, _ = windows_maxpool(x, window, stride)
+    n, c, oh, ow = win.shape[:4]
+    arg = win.reshape(n, c, oh, ow, -1).argmax(axis=-1)
+    rows, cols = arg // window, arg % window
+    ni, ci, oi, oj = np.indices((n, c, oh, ow))
+    d_x = np.zeros_like(x)
+    np.add.at(d_x, (ni, ci, oi * stride + rows, oj * stride + cols), d_out)
+    return d_x
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 32, 32), (32, 8, 32, 32), (3, 2, 7, 5), (2, 3, 5, 9)])
+@pytest.mark.parametrize("window, stride", [(2, 2), (3, 3)])
+def test_maxpool_equals_windows_reference(shape, window, stride):
+    """Non-overlapping windows: forward and backward are bit-identical to the
+    reference, odd extents (truncated windows) and relu-zero ties included."""
+    rng = make_rng(shape[0] * 100 + shape[2] + window)
+    x = nm.relu(rng.standard_normal(shape))  # many all-zero windows: ties
+    _, ref = windows_maxpool(x, window, stride)
+    y = nm.maxpool2d(x, window, stride)
+    assert y.shape == ref.shape and np.array_equal(y, ref)
+    up = rng.standard_normal(y.shape)
+    d = nm.maxpool2d_backward(x, up, window, stride)
+    assert np.array_equal(d, windows_maxpool_backward(x, up, window, stride))
+
+
+@pytest.mark.parametrize("window, stride", [(3, 2), (2, 1)])
+@pytest.mark.parametrize("seed", range(3))
+def test_maxpool_overlapping_windows(window, stride, seed):
+    """Overlapping windows sum routed gradients in another order than the
+    reference, so the backward agrees to rounding; both match finite
+    differences."""
+    rng = make_rng(500 + seed)
+    x = rng.permutation(2 * 7 * 7).astype(float).reshape(1, 2, 7, 7)
+    _, ref = windows_maxpool(x, window, stride)
+    y = nm.maxpool2d(x, window, stride)
+    assert np.array_equal(y, ref)
+    up = rng.standard_normal(y.shape)
+    d = nm.maxpool2d_backward(x, up, window, stride)
+    assert np.allclose(d, windows_maxpool_backward(x, up, window, stride), rtol=1e-12, atol=1e-12)
+
+    def loss(xv):
+        return float((nm.maxpool2d(xv, window, stride) * up).sum())
+
+    assert rel_err(d, nm.finite_diff_grad(loss, x, 1e-4)) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -304,16 +376,3 @@ def test_finite_diff_cross_checks_dense():
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ValueError):
         nm.finite_diff_grad(lambda t: 0.0, np.zeros(2), eps=0.0)
-
-
-# ---------------------------------------------------------------------------
-# LayerGrad carrier
-
-
-def test_layer_grad_pack_counts_params():
-    d_x = np.zeros((1, 1, 2, 2))
-    g = nm.LayerGrad.pack(d_x, np.ones((4, 3, 3, 3)), np.ones(4))
-    assert g.d_params.size == 4 * 3 * 3 * 3 + 4
-    assert g.d_input is d_x
-    empty = nm.LayerGrad.pack(d_x)
-    assert empty.d_params.size == 0
