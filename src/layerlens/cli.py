@@ -105,11 +105,12 @@ def _train_config(section: dict, seed: int) -> tr.TrainConfig:
 
 
 def _full_accuracy(spec, params, x, y, batch_size=256) -> float:
-    hits = 0
-    for s in range(0, len(x), batch_size):
-        scores, _ = net.forward_with_taps(spec, params, x[s:s + batch_size])
-        hits += int((scores.argmax(axis=1) == y[s:s + batch_size]).sum())
-    return hits / len(x) if len(x) else 0.0
+    if not len(x):
+        return 0.0
+    (hits,) = tr.map_batches(
+        lambda xb, yb: (net.forward_with_taps(spec, params, xb)[0].argmax(axis=1) == yb,),
+        batch_size, x, y)
+    return int(hits.sum()) / len(x)
 
 
 def _pool_map(fn, items, jobs: int):
@@ -363,6 +364,12 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     S, B = dcfg["S"], dcfg["B"]
     edge = cfg["dataset"]["image_edge"]
 
+    if not 1 <= tap <= spec.tap_count:
+        raise ConfigError(f"detect tap {tap} out of range 1..{spec.tap_count}")
+    if not 1 <= S <= min(spec.tap_shape(tap)[1:]):
+        raise ConfigError(f"detect.S = {S} does not fit the {spec.tap_shape(tap)[1:]} "
+                          f"feature map at tap {tap}")
+
     x_tr, _, anns_tr = dat.load_split_arrays(manifest, root, "train")
     x_va, _, anns_va = dat.load_split_arrays(manifest, root, "val")
     x_te, _, anns_te = dat.load_split_arrays(manifest, root, "test")
@@ -371,13 +378,16 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     out_root = cfg.out_dir / f"detect_{stem}_tap{tap}"
     out_root.mkdir(parents=True, exist_ok=True)
 
+    # the backbone is frozen: every head seed trains on the same features
+    train_feats = tr.cache_frozen_features(spec, params, x_tr, tap)
+    val_feats = tr.cache_frozen_features(spec, params, x_va, tap) if len(x_va) else None
     test_feats = tr.cache_frozen_features(spec, params, x_te, tap)
     reports, first_detections = [], None
     for i in range(head_seeds):
         tcfg = _train_config(dcfg["train"], derive_seed(cfg.seed, f"detect:{tap}:{i}"))
         head, _rep = dt.train_detection_head(
-            spec, params, tap, x_tr, _annotations_by_image(anns_tr), S, B, tcfg,
-            val_images=x_va if len(x_va) else None,
+            spec, tap, train_feats, _annotations_by_image(anns_tr), S, B, tcfg,
+            val_feats=val_feats,
             val_annotations=_annotations_by_image(anns_va) if len(x_va) else None,
             lambda_coord=dcfg["lambda_coord"], lambda_noobj=dcfg["lambda_noobj"])
         dt.save_head(head, out_root / f"head_seed{i}.llh")

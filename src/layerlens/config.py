@@ -160,17 +160,26 @@ def _merge(schema: dict, given: dict, path: str = "") -> dict:
 def _semantic_checks(cfg: dict) -> None:
     if len(cfg["model"]["widths"]) != 6:
         raise ConfigError("model.widths: exactly 6 channel widths required")
+    taps = len(cfg["model"]["widths"])  # one tap per conv layer
     for m in cfg["explain"]["methods"]:
         if m not in _METHODS:
             raise ConfigError(f"explain.methods: unknown method {m!r} (use {_METHODS})")
     k = cfg["train"]["k"]
-    if not 1 <= k <= 6:
-        raise ConfigError(f"train.k: must be in 1..6, got {k}")
+    if not 1 <= k <= taps:
+        raise ConfigError(f"train.k: must be in 1..{taps}, got {k}")
     for tap in cfg["explain"]["taps"]:
-        if not 1 <= tap <= 6:
-            raise ConfigError(f"explain.taps: tap {tap} out of range 1..6")
-    if not 1 <= cfg["detect"]["tap"] <= 6:
-        raise ConfigError(f"detect.tap: out of range 1..6")
+        if not 1 <= tap <= taps:
+            raise ConfigError(f"explain.taps: tap {tap} out of range 1..{taps}")
+    if not 1 <= cfg["detect"]["tap"] <= taps:
+        raise ConfigError(f"detect.tap: out of range 1..{taps}")
+    if cfg["jobs"] < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {cfg['jobs']}")
+    for section in ("explain", "granulometry"):
+        p = cfg[section]["percentile"]
+        if not 0 < p < 100:
+            raise ConfigError(f"{section}.percentile: must be in (0, 100), got {p}")
+    if cfg["explain"]["sigma"] < 0:
+        raise ConfigError(f"explain.sigma: must be >= 0, got {cfg['explain']['sigma']}")
 
 
 @dataclass(frozen=True)

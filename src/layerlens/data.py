@@ -382,8 +382,8 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     head = lines[0].split()
     if len(head) != 2 or head[0] != _MANIFEST_MAGIC:
         _fail(1, f"expected '{_MANIFEST_MAGIC} <version>', got {lines[0]!r}")
-    if int(head[1]) != _MANIFEST_VERSION:
-        _fail(1, f"unsupported manifest version {head[1]}")
+    if head[1] != str(_MANIFEST_VERSION):
+        _fail(1, f"unsupported manifest version {head[1]!r}")
 
     class_names: tuple[str, ...] | None = None
     seed = None
@@ -407,7 +407,10 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 _fail(no, f"field 'generator': {e}")
         elif key == "count":
-            declared = int(rest)
+            try:
+                declared = int(rest)
+            except ValueError:
+                _fail(no, f"field 'count': expected integer, got {rest!r}")
         elif key == "annotation":
             fields = rest.split(" ")
             if len(fields) != 8:

@@ -15,6 +15,7 @@ over classes and optionally over an IOU-threshold schedule.
 
 from __future__ import annotations
 
+import struct
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -23,10 +24,10 @@ import numpy as np
 
 from . import numerics as nm
 from . import network as net
-from .errors import ShapeError, TrainingDiverged
+from .errors import ShapeError, WeightsError
 from .locmetrics import GtBox
 from .seeding import derive_seed, make_rng
-from .training import TrainConfig, cache_frozen_features, clip_gradients
+from .training import TrainConfig, fit
 
 
 # ---------------------------------------------------------------------------
@@ -278,106 +279,69 @@ def encode_batch(annotations_per_image, S, image_shape):
 
 def train_detection_head(
     spec: net.NetworkSpec,
-    frozen_params: net.ModelParams,
     tap: int,
-    images: np.ndarray,
+    feats: np.ndarray,
     annotations_per_image,
     S: int,
     B: int,
     config: TrainConfig,
-    val_images: np.ndarray | None = None,
+    val_feats: np.ndarray | None = None,
     val_annotations=None,
     lambda_coord: float = 5.0,
     lambda_noobj: float = 0.5,
 ) -> tuple[DetectHead, HeadReport]:
-    """Fit one conv head at ``tap`` on cached features; the backbone is
-    read-only throughout (its arrays are never written)."""
+    """Fit one conv head on the features a frozen backbone produced at ``tap``
+    (``cache_frozen_features``); the caller computes them once for every head
+    it trains."""
     t0 = time.perf_counter()
     ih, iw = spec.input_shape[1:]
-    feats = cache_frozen_features(spec, frozen_params, images, tap)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         obj, coords, class_ids, dropped = encode_batch(annotations_per_image, S, (ih, iw))
     head = init_detect_head(spec, tap, S, B, derive_seed(config.seed, f"detect-head:{tap}"))
     report = HeadReport(dropped_objects=dropped)
 
-    val_feats = val_obj = val_coords = val_cls = None
-    if val_images is not None and len(val_images):
-        val_feats = cache_frozen_features(spec, frozen_params, val_images, tap)
+    def step(idx):
+        loss, d_k, d_b = _head_loss(head, feats[idx], obj[idx], coords[idx], class_ids[idx],
+                                    lambda_coord, lambda_noobj)
+        return loss, [head.kernel, head.bias], [d_k, d_b]
+
+    val_loss = None
+    if val_feats is not None and len(val_feats):
         val_obj, val_coords, val_cls, _ = encode_batch(val_annotations, S, (ih, iw))
 
+        def val_loss():
+            return _head_loss(head, val_feats, val_obj, val_coords, val_cls,
+                              lambda_coord, lambda_noobj, want_grads=False)[0]
+
     rng = make_rng(derive_seed(config.seed, f"order:detect{tap}"))
-    vel = [np.zeros_like(head.kernel), np.zeros_like(head.bias)]
-    n = feats.shape[0]
-    best_val, stall = np.inf, 0
-    for _epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss, seen = 0.0, 0
-        for s in range(0, n, config.batch_size):
-            idx = order[s:s + config.batch_size]
-            loss, d_k, d_b = _head_loss(
-                head, feats[idx], obj[idx], coords[idx], class_ids[idx],
-                lambda_coord, lambda_noobj)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss in detection head at tap {tap}")
-            (d_k, d_b), _ = clip_gradients([d_k, d_b], config.clip_norm)
-            head.kernel, vel[0] = nm.sgd_update(head.kernel, d_k, config.lr, config.momentum, vel[0])
-            head.bias, vel[1] = nm.sgd_update(head.bias, d_b, config.lr, config.momentum, vel[1])
-            epoch_loss += loss * len(idx)
-            seen += len(idx)
-        report.train_losses.append(epoch_loss / seen)
-        if val_feats is not None:
-            vloss, _, _ = _head_loss(head, val_feats, val_obj, val_coords, val_cls,
-                                     lambda_coord, lambda_noobj, want_grads=False)
-            report.val_losses.append(vloss)
-            if vloss < best_val - 1e-12:
-                best_val, stall = vloss, 0
-            else:
-                stall += 1
-                if stall >= config.patience:
-                    break
+    report.train_losses, report.val_losses = fit(
+        step, len(feats), config, rng, val_loss, f"detection head at tap {tap}")
     report.wall_time_s = time.perf_counter() - t0
     return head, report
 
 
 # ---------------------------------------------------------------------------
-# head serialization (same conventions as the backbone weight files)
+# head files: the sealed binary format of the backbone's weight files
 
 _HEAD_MAGIC = b"LLH1"
 
 
 def save_head(head: DetectHead, path) -> None:
-    import hashlib
-    import struct
-
-    from .network import _write_array
-
-    parts = [_HEAD_MAGIC, struct.pack("<4H", head.tap, head.S, head.B, head.class_count)]
-    _write_array(parts, head.kernel)
-    _write_array(parts, head.bias)
-    payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(payload + hashlib.sha256(payload).digest())
+    net.write_sealed(path, _HEAD_MAGIC, [
+        struct.pack("<4H", head.tap, head.S, head.B, head.class_count),
+        net.pack_array(head.kernel), net.pack_array(head.bias)])
 
 
 def load_head(path) -> DetectHead:
-    import hashlib
-
-    from .errors import BadMagic, ChecksumMismatch
-    from .network import _Reader, _read_array
-
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _HEAD_MAGIC:
-        raise BadMagic(f"not a head file: magic {raw[:4]!r}")
-    payload, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ChecksumMismatch("head file checksum does not match contents")
-    r = _Reader(payload)
-    r.take(4)
+    r = net.SealedReader(path, _HEAD_MAGIC, "head")
     tap, S, B, class_count = r.unpack("<4H")
-    kernel = _read_array(r)
-    bias = _read_array(r)
+    kernel, bias = r.array(), r.array()
+    r.finish()
+    if kernel.ndim != 4 or kernel.shape[0] != B * 5 + class_count or bias.shape != kernel.shape[:1]:
+        raise WeightsError(
+            f"head file arrays {kernel.shape}, {bias.shape} do not fit B={B}, "
+            f"classes={class_count}")
     return DetectHead(tap, S, B, class_count, kernel, bias)
 
 

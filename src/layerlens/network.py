@@ -24,6 +24,7 @@ from .errors import (
     SpecMismatch,
     TruncatedFile,
     VersionMismatch,
+    WeightsError,
 )
 from .seeding import make_rng
 
@@ -219,9 +220,6 @@ class ModelParams:
         blocks = [None if b is None else tuple(a.copy() for a in b) for b in self.blocks]
         return ModelParams(blocks, list(self.frozen), self.provenance)
 
-    def param_count(self) -> int:
-        return sum(a.size for b in self.blocks if b for a in b)
-
 
 def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
     """Fan-in-scaled uniform init (limit sqrt(6/fan_in)), zero biases, seeded."""
@@ -387,17 +385,70 @@ def aux_head_backward(head: AuxHead, acts, d_scores):
 
 
 # ---------------------------------------------------------------------------
-# weight serialization
+# sealed binary files (weights *.llw here, detection heads *.llh in detect):
+# magic, little-endian payload, trailing SHA-256 of everything before it
+
+
+def pack_array(a: np.ndarray) -> bytes:
+    """One float64 array: rank (u8), shape (u32 each), little-endian data."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape) + a.tobytes()
+
+
+def write_sealed(path, magic: bytes, parts: list[bytes]) -> None:
+    payload = b"".join([magic, *parts])
+    with open(path, "wb") as fh:
+        fh.write(payload + hashlib.sha256(payload).digest())
+
+
+class SealedReader:
+    """Checks a sealed file's magic, optional u32 version and checksum, then
+    reads its payload front to back; ``kind`` names the file in errors."""
+
+    def __init__(self, path, magic: bytes, kind: str, version: int | None = None):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        self.kind = kind
+        self.pos = len(magic)
+        if len(raw) < self.pos + (0 if version is None else 4) + 32:
+            raise TruncatedFile(f"{kind} file too short ({len(raw)} bytes)")
+        if raw[:self.pos] != magic:
+            raise BadMagic(f"not a {kind} file: magic {raw[:self.pos]!r} != {magic!r}")
+        self.buf = raw[:-32]
+        if version is not None:
+            (found,) = self.unpack("<I")
+            if found != version:
+                raise VersionMismatch(f"{kind} file version {found}, expected {version}")
+        if hashlib.sha256(self.buf).digest() != raw[-32:]:
+            raise ChecksumMismatch(f"{kind} file checksum does not match contents")
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.buf):
+            raise TruncatedFile(
+                f"{self.kind} file truncated: needed {n} bytes at offset {self.pos}, "
+                f"have {len(self.buf) - self.pos}"
+            )
+        out = self.buf[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self) -> np.ndarray:
+        (ndim,) = self.unpack("<B")
+        shape = self.unpack(f"<{ndim}I")
+        count = int(np.prod(shape)) if ndim else 1
+        return np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
+
+    def finish(self) -> None:
+        if self.pos != len(self.buf):
+            raise WeightsError(
+                f"{self.kind} file has {len(self.buf) - self.pos} bytes after its last array")
+
 
 _MAGIC = b"LLW1"
 _VERSION = 1
-
-
-def _write_array(parts: list[bytes], a: np.ndarray) -> None:
-    a = np.ascontiguousarray(a, dtype="<f8")
-    parts.append(struct.pack("<B", a.ndim))
-    parts.append(struct.pack(f"<{a.ndim}I", *a.shape))
-    parts.append(a.tobytes())
 
 
 def save_weights(spec: NetworkSpec, params: ModelParams, path) -> None:
@@ -405,7 +456,7 @@ def save_weights(spec: NetworkSpec, params: ModelParams, path) -> None:
     SHA-256 checksum. A human-readable spec document is written alongside."""
     prov = params.provenance
     scheme = prov.scheme.encode("utf-8")
-    parts: list[bytes] = [_MAGIC, struct.pack("<I", _VERSION)]
+    parts: list[bytes] = [struct.pack("<I", _VERSION)]
     parts.append(struct.pack("<Q", prov.seed % 2**64))
     parts.append(struct.pack("<B", len(scheme)))
     parts.append(scheme)
@@ -418,12 +469,8 @@ def save_weights(spec: NetworkSpec, params: ModelParams, path) -> None:
     for block in params.blocks:
         arrays = block or ()
         parts.append(struct.pack("<B", len(arrays)))
-        for a in arrays:
-            _write_array(parts, a)
-    payload = b"".join(parts)
-    digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(payload + digest)
+        parts.extend(pack_array(a) for a in arrays)
+    write_sealed(path, _MAGIC, parts)
     with open(str(path) + ".spec", "w", encoding="utf-8") as fh:
         fh.write(spec.canonical_text())
         fh.write(f"scheme {prov.scheme}\n")
@@ -432,55 +479,14 @@ def save_weights(spec: NetworkSpec, params: ModelParams, path) -> None:
         fh.write(f"seed {prov.seed}\n")
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise TruncatedFile(
-                f"weight file truncated: needed {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}"
-            )
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _read_array(r: _Reader) -> np.ndarray:
-    (ndim,) = r.unpack("<B")
-    shape = r.unpack(f"<{ndim}I")
-    count = int(np.prod(shape)) if ndim else 1
-    data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
-    return data.astype(np.float64)
-
-
 def load_weights(path, spec: NetworkSpec) -> ModelParams:
     """Load and validate a weight file against ``spec``.
 
     Failure modes are reported distinctly: bad magic, version mismatch,
-    truncation, checksum failure, and spec mismatch (naming the first layer
-    whose stored shapes disagree).
+    truncation, checksum failure, bytes after the last array, and spec
+    mismatch (naming the first layer whose stored shapes disagree).
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(_MAGIC) + 4 + 32:
-        raise TruncatedFile(f"weight file too short ({len(raw)} bytes)")
-    if raw[:4] != _MAGIC:
-        raise BadMagic(f"not a weight file: magic {raw[:4]!r} != {_MAGIC!r}")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != _VERSION:
-        raise VersionMismatch(f"weight file version {version}, expected {_VERSION}")
-    payload, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ChecksumMismatch("weight file checksum does not match contents")
-
-    r = _Reader(payload)
-    r.take(8)  # magic + version already validated
+    r = SealedReader(path, _MAGIC, "weight", version=_VERSION)
     (seed,) = r.unpack("<Q")
     (scheme_len,) = r.unpack("<B")
     scheme = r.take(scheme_len).decode("utf-8")
@@ -493,7 +499,8 @@ def load_weights(path, spec: NetworkSpec) -> ModelParams:
     blocks = []
     for _ in range(n_blocks):
         (n_arrays,) = r.unpack("<B")
-        blocks.append(tuple(_read_array(r) for _ in range(n_arrays)) or None)
+        blocks.append(tuple(r.array() for _ in range(n_arrays)) or None)
+    r.finish()
 
     if stored_hash != spec.spec_hash():
         if n_blocks != len(spec.layers):

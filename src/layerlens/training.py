@@ -6,8 +6,9 @@ pool+dense head at each stage's last tap and freezing the stage before the
 next begins. After the last conv stage the network's own classifier tail is
 fitted on the frozen features so the result is a complete model.
 
-Both schemes share one span trainer, so determinism and frozen-prefix
-behaviour are identical by construction. Stages consume cached activations
+Both schemes share one span trainer, and every trainer in the package
+(spans, probes, detection heads) runs the one SGD loop ``fit``, so
+determinism, clipping and early stopping are identical by construction. Stages consume cached activations
 from the frozen prefix; for a frozen prefix this is mathematically the same
 as re-running the full forward pass.
 """
@@ -103,29 +104,7 @@ class TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# span trainer: layers lo..hi (+ optional aux head) on cached inputs
-
-
-def _span_forward(spec, params, head, x, lo, hi, want_caches=False):
-    if want_caches:
-        out, caches = net.run_span(spec, params, x, lo, hi, want_caches=True)
-    else:
-        out = net.run_span(spec, params, x, lo, hi)
-        caches = None
-    acts = out
-    scores = net.aux_head_forward(head, acts) if head is not None else out
-    return scores, acts, caches
-
-
-def _eval_loss_acc(spec, params, head, data: LabelledSet, lo, hi, batch_size):
-    losses, hits, n = [], 0, data.x.shape[0]
-    for s in range(0, n, batch_size):
-        xb, yb = data.x[s:s + batch_size], data.y[s:s + batch_size]
-        scores, _, _ = _span_forward(spec, params, head, xb, lo, hi)
-        loss, _ = nm.softmax_cross_entropy(scores, yb)
-        losses.append(loss * xb.shape[0])
-        hits += int((scores.argmax(axis=1) == yb).sum())
-    return sum(losses) / n, hits / n
+# the one SGD loop, and the one batched forward
 
 
 def clip_gradients(grads, clip_norm: float):
@@ -137,6 +116,74 @@ def clip_gradients(grads, clip_norm: float):
         return grads, 1.0
     scale = clip_norm / total
     return [g * scale for g in grads], scale
+
+
+def fit(step, n: int, cfg: TrainConfig, rng: np.random.Generator, val_loss,
+        label: str) -> tuple[list[float], list[float]]:
+    """Minibatch SGD with momentum over ``n`` training rows; every trainer runs it.
+
+    ``step(idx)`` returns ``(loss, arrays, grads)`` for the batch rows ``idx``:
+    the mean batch loss, the parameter arrays being learnt (the same arrays
+    in the same order on every call) and their gradients. The gradients are
+    clipped to a global norm of ``cfg.clip_norm`` (summed in the given order)
+    and each array is updated in place with its own velocity. After each
+    epoch ``val_loss()``, unless it is None, drives early stopping after
+    ``cfg.patience`` epochs without improvement. A non-finite batch loss
+    raises ``TrainingDiverged`` naming ``label``. Returns the per-epoch mean
+    train losses and the val losses.
+
+    Clipping caps the one-step blow-up (then dead relus) that the plain
+    update is prone to on deeper spans.
+    """
+    train_losses: list[float] = []
+    val_losses: list[float] = []
+    velocity: dict[int, np.ndarray] = {}
+    best_val, stall = np.inf, 0
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss, seen = 0.0, 0
+        for s in range(0, n, cfg.batch_size):
+            idx = order[s:s + cfg.batch_size]
+            loss, arrays, grads = step(idx)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss in {label}")
+            epoch_loss += loss * len(idx)
+            seen += len(idx)
+            grads, _ = clip_gradients(grads, cfg.clip_norm)
+            for j, (a, g) in enumerate(zip(arrays, grads)):
+                a[...], velocity[j] = nm.sgd_update(
+                    a, g, cfg.lr, cfg.momentum, velocity.get(j))
+        train_losses.append(epoch_loss / seen)
+
+        if val_loss is not None:
+            val_losses.append(val_loss())
+            if val_losses[-1] < best_val - 1e-12:
+                best_val, stall = val_losses[-1], 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    break
+    return train_losses, val_losses
+
+
+def map_batches(fn, batch_size: int, *arrays) -> tuple[np.ndarray, ...]:
+    """Run ``fn`` on consecutive ``batch_size``-row slices of ``arrays``.
+
+    ``fn`` returns a tuple of arrays whose first axis follows its batch (a
+    per-batch scalar is a one-element array); each is concatenated across
+    batches. Every batched forward pass in the package goes through here.
+    """
+    outs = [fn(*(a[s:s + batch_size] for a in arrays))
+            for s in range(0, len(arrays[0]), batch_size)]
+    return tuple(np.concatenate(parts, axis=0) for parts in zip(*outs))
+
+
+def _nonempty(data: LabelledSet | None) -> LabelledSet | None:
+    return data if data is not None and len(data.x) else None
+
+
+# ---------------------------------------------------------------------------
+# span trainer: layers lo..hi (+ optional aux head) on cached inputs
 
 
 def _train_span(
@@ -151,85 +198,57 @@ def _train_span(
     rng: np.random.Generator,
     stage_name: str,
 ) -> StageReport:
-    """Minibatch SGD over layers lo..hi (and the head); mutates params/head in place.
-
-    Gradients are clipped to a global norm before the momentum update: the
-    plain update is prone to a one-step blow-up (then dead relus) on deeper
-    spans, and clipping caps exactly that step.
-    """
+    """Minibatch SGD over layers lo..hi (and the head); mutates params/head in place."""
     report = StageReport(stage_name)
-    n = train.x.shape[0]
-    vel: dict[int, list] = {
-        i: [np.zeros_like(a) for a in params.blocks[i]]
-        for i in range(lo, hi + 1)
-        if params.blocks[i] is not None
-    }
-    head_vel = None if head is None else [np.zeros_like(head.weights), np.zeros_like(head.bias)]
+    val = _nonempty(val)
     # backpropagation ends at the lowest layer with parameters, whose input
     # gradient nothing uses
-    bottom = min(vel, default=hi + 1)
+    bottom = min((i for i in range(lo, hi + 1) if params.blocks[i] is not None),
+                 default=hi + 1)
 
-    best_val = np.inf
-    stall = 0
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss, seen = 0.0, 0
-        for s in range(0, n, cfg.batch_size):
-            idx = order[s:s + cfg.batch_size]
-            xb, yb = train.x[idx], train.y[idx]
-            scores, acts, caches = _span_forward(spec, params, head, xb, lo, hi, want_caches=True)
-            loss, d_scores = nm.softmax_cross_entropy(scores, yb)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss in stage '{stage_name}'")
-            epoch_loss += loss * xb.shape[0]
-            seen += xb.shape[0]
+    def scores(acts):
+        return acts if head is None else net.aux_head_forward(head, acts)
 
-            # gather every gradient in the span, clip globally, then update
-            flat_grads: list[np.ndarray] = []
-            if head is not None:
-                g, d_w, d_b = net.aux_head_backward(head, acts, d_scores)
-                head_grads = [d_w, d_b]
-                flat_grads.extend(head_grads)
-            else:
-                g = d_scores
-                head_grads = None
-            layer_grads: dict[int, tuple] = {}
-            for i in range(hi, bottom - 1, -1):
-                g, grads = net._layer_backward(spec.layers[i], params.blocks[i],
-                                               caches[i - lo], g, want_input=i > bottom)
-                if grads is not None:
-                    layer_grads[i] = grads
-                    flat_grads.extend(grads)
-            _, scale = clip_gradients(flat_grads, cfg.clip_norm)
+    held = None
 
-            if head is not None:
-                head.weights, head_vel[0] = nm.sgd_update(
-                    head.weights, scale * head_grads[0], cfg.lr, cfg.momentum, head_vel[0])
-                head.bias, head_vel[1] = nm.sgd_update(
-                    head.bias, scale * head_grads[1], cfg.lr, cfg.momentum, head_vel[1])
-            for i, grads in layer_grads.items():
-                new_block = []
-                for j, (a, da) in enumerate(zip(params.blocks[i], grads)):
-                    a_new, vel[i][j] = nm.sgd_update(
-                        a, scale * da, cfg.lr, cfg.momentum, vel[i][j])
-                    new_block.append(a_new)
-                params.blocks[i] = tuple(new_block)
-        report.train_losses.append(epoch_loss / seen)
+    def step(idx):
+        nonlocal held
+        acts, caches = net.run_span(spec, params, train.x[idx], lo, hi, want_caches=True)
+        # Hold each batch's activations until the next batch's forward pass has
+        # allocated its own. Freed at the end of the step instead, they leave
+        # the top of the heap empty, so glibc returns it to the system and the
+        # next step faults it back in: 5x the minor page faults and an E2E run
+        # ~8% slower.
+        held = caches
+        loss, g = nm.softmax_cross_entropy(scores(acts), train.y[idx])
+        arrays, grads = [], []
+        if head is not None:
+            g, d_w, d_b = net.aux_head_backward(head, acts, g)
+            arrays += [head.weights, head.bias]
+            grads += [d_w, d_b]
+        for i in range(hi, bottom - 1, -1):
+            g, layer_grads = net._layer_backward(spec.layers[i], params.blocks[i],
+                                                 caches[i - lo], g, want_input=i > bottom)
+            if layer_grads is not None:
+                arrays += params.blocks[i]
+                grads += layer_grads
+        return loss, arrays, grads
 
-        if val is not None and val.x.shape[0] > 0:
-            val_loss, _ = _eval_loss_acc(spec, params, head, val, lo, hi, cfg.batch_size)
-            report.val_losses.append(val_loss)
-            if val_loss < best_val - 1e-12:
-                best_val, stall = val_loss, 0
-            else:
-                stall += 1
-                if stall >= cfg.patience:
-                    break
+    def loss_acc(data: LabelledSet):
+        def batch(xb, yb):
+            s = scores(net.run_span(spec, params, xb, lo, hi))
+            loss, _ = nm.softmax_cross_entropy(s, yb)
+            return np.array([loss * len(xb)]), s.argmax(axis=1) == yb
+        losses, hits = map_batches(batch, cfg.batch_size, data.x, data.y)
+        return sum(losses.tolist()) / len(data.x), int(hits.sum()) / len(data.x)
 
+    report.train_losses, report.val_losses = fit(
+        step, len(train.x), cfg, rng, None if val is None else (lambda: loss_acc(val)[0]),
+        f"stage '{stage_name}'")
     if cfg.epochs > 0:
-        _, report.train_acc = _eval_loss_acc(spec, params, head, train, lo, hi, cfg.batch_size)
-        if val is not None and val.x.shape[0] > 0:
-            _, report.val_acc = _eval_loss_acc(spec, params, head, val, lo, hi, cfg.batch_size)
+        _, report.train_acc = loss_acc(train)
+        if val is not None:
+            _, report.val_acc = loss_acc(val)
     return report
 
 
@@ -272,11 +291,9 @@ def cache_frozen_features(
         return np.zeros((0,) + spec.tap_shape(tap), dtype=np.float64)
     if tap == 0:
         return nm.as_f64(x)
-    chunks = []
-    for s in range(0, x.shape[0], batch_size):
-        _, taps = net.forward_with_taps(spec, params, x[s:s + batch_size], depth=tap)
-        chunks.append(taps[tap])
-    return np.concatenate(chunks, axis=0)
+    (feats,) = map_batches(
+        lambda xb: (net.forward_with_taps(spec, params, xb, depth=tap)[1][tap],), batch_size, x)
+    return feats
 
 
 def _stage_span(spec: net.NetworkSpec, part: tuple[int, ...]) -> tuple[int, int]:
@@ -302,34 +319,32 @@ def train_cascade(
     params = net.init_params(spec, derive_seed(config.seed, "init"))
     stages: list[StageReport] = []
 
-    cur_train = nm.as_f64(train.x)
-    cur_val = None if val is None else nm.as_f64(val.x)
+    cur_train = LabelledSet(nm.as_f64(train.x), train.y)
+    cur_val = None if _nonempty(val) is None else LabelledSet(nm.as_f64(val.x), val.y)
     for s_idx, part in enumerate(plan.parts):
         lo, hi = _stage_span(spec, part)
         head = net.init_aux_head(spec, part[-1], derive_seed(config.seed, f"head:{s_idx}"))
         rng = make_rng(derive_seed(config.seed, f"order:stage{s_idx}"))
-        stage = _train_span(
-            spec, params, lo, hi, head,
-            LabelledSet(cur_train, train.y),
-            None if cur_val is None else LabelledSet(cur_val, val.y),
-            config, rng, f"cl_stage{s_idx + 1}_taps{part[0]}-{part[-1]}")
-        stages.append(stage)
+        stages.append(_train_span(
+            spec, params, lo, hi, head, cur_train, cur_val, config, rng,
+            f"cl_stage{s_idx + 1}_taps{part[0]}-{part[-1]}"))
         for i in range(lo, hi + 1):
             params.frozen[i] = True
-        # cache this stage's output activations as the next stage's input
-        cur_train = _advance(spec, params, cur_train, lo, hi, config.batch_size)
-        if cur_val is not None:
-            cur_val = _advance(spec, params, cur_val, lo, hi, config.batch_size)
+
+        # this stage's output activations are the next stage's cached inputs
+        def advance(data: LabelledSet | None) -> LabelledSet | None:
+            if data is None:
+                return None
+            (acts,) = map_batches(lambda xb: (net.run_span(spec, params, xb, lo, hi),),
+                                  config.batch_size, data.x)
+            return LabelledSet(acts, data.y)
+        cur_train, cur_val = advance(cur_train), advance(cur_val)
 
     # classifier tail (everything after the last tap) on frozen features
-    tail_lo = spec.tap_layers[-1] + 1
     rng = make_rng(derive_seed(config.seed, "order:classifier"))
-    stage = _train_span(
-        spec, params, tail_lo, len(spec.layers) - 1, None,
-        LabelledSet(cur_train, train.y),
-        None if cur_val is None else LabelledSet(cur_val, val.y),
-        config, rng, "cl_classifier")
-    stages.append(stage)
+    stages.append(_train_span(
+        spec, params, spec.tap_layers[-1] + 1, len(spec.layers) - 1, None,
+        cur_train, cur_val, config, rng, "cl_classifier"))
 
     params.provenance = net.Provenance(
         "CL", tuple(len(p) for p in plan.parts), config.seed)
@@ -337,24 +352,8 @@ def train_cascade(
     return params, report
 
 
-def _advance(spec, params, x, lo, hi, batch_size):
-    outs = []
-    for s in range(0, x.shape[0], batch_size):
-        outs.append(net.run_span(spec, params, x[s:s + batch_size], lo, hi))
-    return np.concatenate(outs, axis=0) if outs else x
-
-
 # ---------------------------------------------------------------------------
 # per-tap probe classifiers (the E2E comparison protocol)
-
-
-def _gap_features(spec, params, x, batch_size=64) -> dict[int, np.ndarray]:
-    feats: dict[int, list] = {t: [] for t in range(1, spec.tap_count + 1)}
-    for s in range(0, x.shape[0], batch_size):
-        _, taps = net.forward_with_taps(spec, params, x[s:s + batch_size])
-        for t, a in taps.items():
-            feats[t].append(a.mean(axis=(2, 3)))
-    return {t: np.concatenate(v, axis=0) for t, v in feats.items()}
 
 
 def train_probes(
@@ -366,43 +365,36 @@ def train_probes(
 ) -> tuple[dict[int, net.AuxHead], dict[int, tuple[float, float | None]]]:
     """One fresh pool+dense probe per tap, trained on the frozen backbone's
     pooled features. The backbone is read-only throughout."""
-    f_train = _gap_features(spec, params, train.x, config.batch_size)
-    f_val = None if val is None else _gap_features(spec, params, val.x, config.batch_size)
+    taps = range(1, spec.tap_count + 1)
+
+    def pooled(xb):
+        _, acts = net.forward_with_taps(spec, params, xb)
+        return tuple(acts[t].mean(axis=(2, 3)) for t in taps)
+
+    val = _nonempty(val)
+    f_train = map_batches(pooled, config.batch_size, train.x)
+    f_val = None if val is None else map_batches(pooled, config.batch_size, val.x)
     heads: dict[int, net.AuxHead] = {}
     accs: dict[int, tuple[float, float | None]] = {}
-    for tap in range(1, spec.tap_count + 1):
-        head = net.init_aux_head(spec, tap, derive_seed(config.seed, f"probe:{tap}"))
-        rng = make_rng(derive_seed(config.seed, f"order:probe{tap}"))
-        xt, yt = f_train[tap], train.y
-        vel = [np.zeros_like(head.weights), np.zeros_like(head.bias)]
-        best_val, stall = np.inf, 0
-        for _epoch in range(config.epochs):
-            order = rng.permutation(xt.shape[0])
-            for s in range(0, xt.shape[0], config.batch_size):
-                idx = order[s:s + config.batch_size]
-                scores = nm.dense(xt[idx], head.weights, head.bias)
-                loss, d = nm.softmax_cross_entropy(scores, yt[idx])
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(f"non-finite loss in probe at tap {tap}")
-                _, d_w, d_b = nm.dense_backward(xt[idx], head.weights, d)
-                (d_w, d_b), _ = clip_gradients([d_w, d_b], config.clip_norm)
-                head.weights, vel[0] = nm.sgd_update(head.weights, d_w, config.lr, config.momentum, vel[0])
-                head.bias, vel[1] = nm.sgd_update(head.bias, d_b, config.lr, config.momentum, vel[1])
-            if f_val is not None and f_val[tap].shape[0] > 0:
-                vs = nm.dense(f_val[tap], head.weights, head.bias)
-                vloss, _ = nm.softmax_cross_entropy(vs, val.y)
-                if vloss < best_val - 1e-12:
-                    best_val, stall = vloss, 0
-                else:
-                    stall += 1
-                    if stall >= config.patience:
-                        break
-        train_acc = float(
-            (nm.dense(xt, head.weights, head.bias).argmax(axis=1) == yt).mean())
-        val_acc = None
-        if f_val is not None and f_val[tap].shape[0] > 0:
-            val_acc = float(
-                (nm.dense(f_val[tap], head.weights, head.bias).argmax(axis=1) == val.y).mean())
-        heads[tap] = head
-        accs[tap] = (train_acc, val_acc)
+    for tap in taps:
+        head = heads[tap] = net.init_aux_head(
+            spec, tap, derive_seed(config.seed, f"probe:{tap}"))
+        xt = f_train[tap - 1]
+        xv = None if f_val is None else f_val[tap - 1]
+
+        def step(idx):
+            loss, d = nm.softmax_cross_entropy(
+                nm.dense(xt[idx], head.weights, head.bias), train.y[idx])
+            _, d_w, d_b = nm.dense_backward(xt[idx], head.weights, d)
+            return loss, [head.weights, head.bias], [d_w, d_b]
+
+        def val_loss():
+            return nm.softmax_cross_entropy(nm.dense(xv, head.weights, head.bias), val.y)[0]
+
+        fit(step, len(xt), config, make_rng(derive_seed(config.seed, f"order:probe{tap}")),
+            None if xv is None else val_loss, f"probe at tap {tap}")
+
+        def acc(x, y):
+            return float((nm.dense(x, head.weights, head.bias).argmax(axis=1) == y).mean())
+        accs[tap] = (acc(xt, train.y), None if xv is None else acc(xv, val.y))
     return heads, accs

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,26 @@ def test_config_flag_overrides_win(tmp_path):
     cfg = load_config(path, {"seed": 99, "out_dir": "elsewhere"})
     assert cfg.seed == 99
     assert str(cfg.out_dir) == "elsewhere"
+
+
+@pytest.mark.parametrize("section, error", [
+    ({"jobs": 0}, "jobs"),
+    ({"explain": {"percentile": 150.0}}, "explain.percentile"),
+    ({"granulometry": {"percentile": 0}}, "granulometry.percentile"),
+    ({"explain": {"sigma": -1.0}}, "explain.sigma"),
+    ({"explain": {"taps": [7]}}, "1..6"),
+    ({"train": {"k": 7}}, "1..6"),
+])
+def test_config_semantic_errors(tmp_path, section, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(section))
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        load_config(path)
+
+
+def test_negative_jobs_flag_exit_2(tmp_path, capsys):
+    assert main(["--config", str(make_config(tmp_path)), "--jobs", "-4", "generate"]) == 2
+    assert "jobs" in capsys.readouterr().err
 
 
 def test_presets_load():
@@ -227,6 +248,42 @@ def test_detect_three_seed_mode(pipeline):
     comment, _, rows = read_csv(det_dir / "report.csv")
     assert "seeds=2" in comment
     assert (det_dir / "head_seed1.llh").exists()
+
+
+def test_detect_caches_features_once_per_split(pipeline, monkeypatch):
+    from layerlens import training as tr
+
+    cfg_path, out = pipeline
+    calls = []
+    cache = tr.cache_frozen_features
+
+    def counted(spec, params, x, tap, *args, **kwargs):
+        calls.append((len(x), tap))
+        return cache(spec, params, x, tap, *args, **kwargs)
+    monkeypatch.setattr(tr, "cache_frozen_features", counted)
+    assert main(["--config", str(cfg_path), "detect",
+                 "--weights", str(out / "weights_e2e.llw"),
+                 "--tap", "3", "--head-seeds", "3"]) == 0
+    assert sorted(calls) == [(12, 3), (12, 3), (24, 3)]  # val, test, train
+    assert (out / "detect_weights_e2e_tap3" / "head_seed2.llh").exists()
+
+
+def test_detect_grid_larger_than_tap_exit_2(pipeline, tmp_path, monkeypatch, capsys):
+    from layerlens import detect as dt
+
+    _, out = pipeline
+
+    def never(*args, **kwargs):
+        raise AssertionError("a head trained before the config check")
+    monkeypatch.setattr(dt, "train_detection_head", never)
+    cfg_path = make_config(tmp_path, out_dir=str(out), detect={"S": 9, "tap": 4})
+    weights = ["--weights", str(out / "weights_e2e.llw")]
+    # tap 6 is 8x8 on 32-px images
+    assert main(["--config", str(cfg_path), "detect", *weights, "--tap", "6"]) == 2
+    assert "detect.S = 9" in capsys.readouterr().err
+    assert main(["--config", str(cfg_path), "detect", *weights, "--tap", "7"]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not (out / "detect_weights_e2e_tap6").exists()
 
 
 def test_granulometry_conservation_at_cli_level(pipeline):

@@ -199,6 +199,17 @@ def test_manifest_malformed_line_diagnostics(tmp_path):
     assert "line 5" in str(e.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("layerlens-manifest x\n", "line 1"),
+    ("layerlens-manifest 1\ncount twelve\n", "line 2"),
+])
+def test_manifest_non_integer_fields(tmp_path, text, line):
+    p = tmp_path / "manifest.txt"
+    p.write_text(text)
+    with pytest.raises(ManifestError, match=line):
+        ds.load_manifest(p, check_files=False)
+
+
 def test_manifest_unknown_record(tmp_path):
     p = tmp_path / "manifest.txt"
     p.write_text("layerlens-manifest 1\nbogus record\n")

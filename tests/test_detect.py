@@ -1,13 +1,22 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from layerlens import detect as dt
 from layerlens import network as net
 from layerlens import numerics as nm
-from layerlens.errors import ShapeError
+from layerlens.errors import (
+    BadMagic,
+    ChecksumMismatch,
+    ShapeError,
+    TruncatedFile,
+    WeightsError,
+)
 from layerlens.locmetrics import GtBox
 from layerlens.seeding import make_rng
-from layerlens.training import TrainConfig
+from layerlens.training import TrainConfig, cache_frozen_features
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +332,9 @@ def test_head_backbone_untouched_and_loss_decreases(detect_setup):
     spec, params, images, anns = detect_setup
     snapshot = [None if b is None else tuple(a.copy() for a in b) for b in params.blocks]
     cfg = TrainConfig(epochs=10, lr=0.1, seed=0, batch_size=8)
+    feats = cache_frozen_features(spec, params, images, tap=2)
     head, report = dt.train_detection_head(
-        spec, params, tap=2, images=images, annotations_per_image=anns,
-        S=4, B=2, config=cfg)
+        spec, tap=2, feats=feats, annotations_per_image=anns, S=4, B=2, config=cfg)
     for b1, b2 in zip(params.blocks, snapshot):
         if b1 is not None:
             for a1, a2 in zip(b1, b2):
@@ -335,8 +344,6 @@ def test_head_backbone_untouched_and_loss_decreases(detect_setup):
 
 def test_head_gradient_matches_finite_differences(detect_setup):
     spec, params, images, anns = detect_setup
-    from layerlens.training import cache_frozen_features
-
     feats = cache_frozen_features(spec, params, images[:4], tap=2)
     obj, coords, cls, _ = dt.encode_batch(anns[:4], 4, (16, 16))
     head = dt.init_detect_head(spec, 2, 4, 2, seed=5)
@@ -359,10 +366,75 @@ def test_head_gradient_matches_finite_differences(detect_setup):
 def test_head_deterministic(detect_setup):
     spec, params, images, anns = detect_setup
     cfg = TrainConfig(epochs=2, lr=0.05, seed=9, batch_size=8)
-    h1, _ = dt.train_detection_head(spec, params, 1, images, anns, 4, 2, cfg)
-    h2, _ = dt.train_detection_head(spec, params, 1, images, anns, 4, 2, cfg)
+    feats = cache_frozen_features(spec, params, images, 1)
+    h1, _ = dt.train_detection_head(spec, 1, feats, anns, 4, 2, cfg)
+    h2, _ = dt.train_detection_head(spec, 1, feats, anns, 4, 2, cfg)
     assert np.array_equal(h1.kernel, h2.kernel)
     assert np.array_equal(h1.bias, h2.bias)
+
+
+# ---------------------------------------------------------------------------
+# head files
+
+
+def sample_head():
+    rng = make_rng(4)
+    return dt.DetectHead(3, 4, 2, 3, rng.standard_normal((13, 6, 3, 3)), rng.standard_normal(13))
+
+
+def reseal(path, payload):
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+def test_head_file_round_trip(tmp_path):
+    head = sample_head()
+    dt.save_head(head, tmp_path / "h.llh")
+    loaded = dt.load_head(tmp_path / "h.llh")
+    assert (loaded.tap, loaded.S, loaded.B, loaded.class_count) == (3, 4, 2, 3)
+    assert np.array_equal(loaded.kernel, head.kernel)
+    assert np.array_equal(loaded.bias, head.bias)
+
+
+def test_head_file_bad_magic_and_checksum(tmp_path):
+    path = tmp_path / "h.llh"
+    dt.save_head(sample_head(), path)
+    raw = bytearray(path.read_bytes())
+    raw[40] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ChecksumMismatch, match="head file"):
+        dt.load_head(path)
+    path.write_bytes(b"LLW1" + bytes(raw[4:]))
+    with pytest.raises(BadMagic, match="not a head file"):
+        dt.load_head(path)
+
+
+def test_head_file_truncation_names_the_head_file(tmp_path):
+    path = tmp_path / "h.llh"
+    dt.save_head(sample_head(), path)
+    payload = path.read_bytes()[:-32]
+    reseal(path, payload[:-8])  # last bias value cut, checksum valid
+    with pytest.raises(TruncatedFile, match="head file truncated"):
+        dt.load_head(path)
+    path.write_bytes(payload[:20])
+    with pytest.raises(TruncatedFile, match="head file too short"):
+        dt.load_head(path)
+
+
+def test_head_file_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "h.llh"
+    dt.save_head(sample_head(), path)
+    reseal(path, path.read_bytes()[:-32] + b"junk")
+    with pytest.raises(WeightsError, match="4 bytes after its last array"):
+        dt.load_head(path)
+
+
+def test_head_file_kernel_shape_checked(tmp_path):
+    path = tmp_path / "h.llh"
+    rank1 = b"LLH1" + struct.pack("<4H", 3, 4, 2, 3)
+    rank1 += net.pack_array(np.ones(13)) + net.pack_array(np.zeros(13))
+    reseal(path, rank1)
+    with pytest.raises(WeightsError, match="do not fit"):
+        dt.load_head(path)
 
 
 def test_decode_hand_built_grid():

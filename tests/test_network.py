@@ -11,6 +11,7 @@ from layerlens.errors import (
     SpecMismatch,
     TruncatedFile,
     VersionMismatch,
+    WeightsError,
 )
 from layerlens.seeding import make_rng
 
@@ -213,6 +214,17 @@ def test_truncated_file(tmp_path, tiny_net):
         net.load_weights(path, tiny_net)
     path.write_bytes(raw[:10])
     with pytest.raises(TruncatedFile):
+        net.load_weights(path, tiny_net)
+
+
+def test_trailing_bytes_rejected(tmp_path, tiny_net):
+    import hashlib
+
+    path = tmp_path / "w.llw"
+    net.save_weights(tiny_net, net.init_params(tiny_net, 1), path)
+    payload = path.read_bytes()[:-32] + bytes(3)
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    with pytest.raises(WeightsError, match="weight file has 3 bytes after its last array"):
         net.load_weights(path, tiny_net)
 
 

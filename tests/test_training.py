@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from layerlens import network as net
 from layerlens import training as tr
-from layerlens.errors import SpecError
+from layerlens.errors import SpecError, TrainingDiverged
 from layerlens.seeding import derive_seed, make_rng
 
 
@@ -259,6 +259,77 @@ def test_cache_reuse_is_deterministic(small_spec):
     f1 = tr.cache_frozen_features(small_spec, params, data.x, tap=1)
     f2 = tr.cache_frozen_features(small_spec, params, data.x, tap=1)
     assert np.array_equal(f1, f2)
+
+
+# ---------------------------------------------------------------------------
+# the shared SGD loop
+
+
+def constant_step(grad_rows):
+    """A step with fixed gradients for as many zero-initialised arrays."""
+    arrays = [np.zeros(len(g)) for g in grad_rows]
+
+    def step(idx):
+        return 1.0, arrays, [np.array(g, dtype=float) for g in grad_rows]
+    return step, arrays
+
+
+def test_fit_stops_after_patience_stalled_epochs():
+    val = iter([1.0, 0.5, 0.7, 0.6, 0.4, 0.9, 0.9, 0.9, 0.1, 0.1])
+    step, _ = constant_step([[0.0]])
+    cfg = tr.TrainConfig(epochs=10, batch_size=1, patience=2)
+    train_losses, val_losses = tr.fit(step, 1, cfg, make_rng(0), lambda: next(val), "t")
+    # 0.7 and 0.6 do not beat 0.5: two stalled epochs end the run
+    assert val_losses == [1.0, 0.5, 0.7, 0.6]
+    assert len(train_losses) == 4
+
+    val = iter([1.0, 0.5, 0.7, 0.6, 0.4, 0.9, 0.9, 0.9, 0.1, 0.1])
+    cfg = tr.TrainConfig(epochs=10, batch_size=1, patience=3)
+    _, val_losses = tr.fit(step, 1, cfg, make_rng(0), lambda: next(val), "t")
+    # 0.4 resets the count; three more stalled epochs end the run
+    assert val_losses == [1.0, 0.5, 0.7, 0.6, 0.4, 0.9, 0.9, 0.9]
+
+
+def test_fit_without_val_runs_every_epoch():
+    step, _ = constant_step([[0.0]])
+    train_losses, val_losses = tr.fit(
+        step, 5, tr.TrainConfig(epochs=4, batch_size=2, patience=1), make_rng(0), None, "t")
+    assert train_losses == [1.0] * 4 and val_losses == []
+
+
+@pytest.mark.parametrize("clip_norm, scale", [(5.0, 0.5), (20.0, 1.0), (0.0, 1.0)])
+def test_fit_caps_global_gradient_norm(clip_norm, scale):
+    # gradient norm sqrt(6^2 + 8^2) = 10 across two arrays; lr 1, no momentum,
+    # so one step moves the arrays by -scale * gradient
+    step, (a, b) = constant_step([[6.0, 0.0], [8.0]])
+    cfg = tr.TrainConfig(epochs=1, lr=1.0, momentum=0.0, batch_size=1, clip_norm=clip_norm)
+    tr.fit(step, 1, cfg, make_rng(0), None, "t")
+    assert np.array_equal(a, [-6.0 * scale, 0.0]) and np.array_equal(b, [-8.0 * scale])
+
+
+def test_fit_momentum_keeps_one_velocity_per_array():
+    step, (a, b) = constant_step([[1.0], [2.0]])
+    cfg = tr.TrainConfig(epochs=2, lr=0.5, momentum=0.5, batch_size=1, clip_norm=0.0)
+    tr.fit(step, 1, cfg, make_rng(0), None, "t")
+    # v1 = -lr g, v2 = momentum v1 - lr g, p = v1 + v2 = -(2 + momentum) lr g
+    assert np.allclose(a, [-1.25]) and np.allclose(b, [-2.5])
+
+
+def test_fit_divergence_names_the_caller():
+    arrays = [np.zeros(1)]
+
+    def step(idx):
+        return float("nan"), arrays, [np.ones(1)]
+    with pytest.raises(TrainingDiverged, match="non-finite loss in probe at tap 3"):
+        tr.fit(step, 4, tr.TrainConfig(epochs=1), make_rng(0), None, "probe at tap 3")
+    assert np.array_equal(arrays[0], [0.0])  # no update from a diverged batch
+
+
+def test_e2e_divergence_names_the_stage(small_spec):
+    data = two_bar_set(8, seed=1)
+    bad = tr.LabelledSet(np.full_like(data.x, np.inf), data.y)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="stage 'e2e'"):
+        tr.train_e2e(small_spec, bad, tr.TrainConfig(epochs=1))
 
 
 # ---------------------------------------------------------------------------
