@@ -24,7 +24,7 @@ from . import locmetrics as lm
 from . import network as net
 from . import numerics as nm
 from . import training as tr
-from .config import ExperimentConfig, load_config
+from .config import METHODS, ExperimentConfig, load_config
 from .errors import ConfigError, LayerlensError
 from .seeding import derive_seed, make_rng
 
@@ -82,12 +82,15 @@ def _dataset_dir(cfg: ExperimentConfig) -> Path:
     return cfg.out_dir / "dataset"
 
 
-def _load_dataset(cfg: ExperimentConfig):
-    manifest_path = _dataset_dir(cfg) / "manifest.txt"
+def _load_splits(cfg: ExperimentConfig, *names):
+    """(x, y, annotations) of each named split, in image-id order."""
+    root = _dataset_dir(cfg)
+    manifest_path = root / "manifest.txt"
     if not manifest_path.is_file():
         raise LayerlensError(
             f"dataset manifest not found at {manifest_path}; run 'generate' first")
-    return dat.load_manifest(manifest_path)
+    manifest = dat.load_manifest(manifest_path)
+    return [dat.load_split_arrays(manifest, root, name) for name in names]
 
 
 def _build_spec(cfg: ExperimentConfig) -> net.NetworkSpec:
@@ -146,10 +149,7 @@ def _weights_name(scheme: str, k: int) -> str:
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
-    manifest = _load_dataset(cfg)
-    root = _dataset_dir(cfg)
-    x_tr, y_tr, _ = dat.load_split_arrays(manifest, root, "train")
-    x_va, y_va, _ = dat.load_split_arrays(manifest, root, "val")
+    (x_tr, y_tr, _), (x_va, y_va, _) = _load_splits(cfg, "train", "val")
     train = tr.LabelledSet(x_tr, y_tr)
     val = tr.LabelledSet(x_va, y_va) if len(x_va) else None
     spec = _build_spec(cfg)
@@ -190,10 +190,6 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _heatmap_path(out_root: Path, image_id: str, method: str, tap: int) -> Path:
-    return out_root / f"{image_id}_{method}_tap{tap}.pgm"
-
-
 def _save_heatmap(values: np.ndarray, path: Path) -> None:
     lo, hi = float(values.min()), float(values.max())
     scaled = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
@@ -202,72 +198,41 @@ def _save_heatmap(values: np.ndarray, path: Path) -> None:
         fh.write(f"min={_fmt(lo)} max={_fmt(hi)}\n")
 
 
-def _granulometry_summary(mask, gran_max):
-    return None if gran_max is None else lm.granulometry(mask, gran_max).mean_size
+def _image_maps(spec, params, ann, image, cfg, methods, taps, percentile):
+    """``{(method, tap): (heatmap, binary mask)}`` for one image; pure, thread-safe.
 
+    Each method runs once: Grad-CAM at every tap from one forward and one
+    backward pass, saliency and LIME once for all taps. Grad-CAM and saliency
+    heatmaps are the smoothed maps, binarised at ``percentile``; LIME's is its
+    clipped patch-weight map, and its mask the selected patches.
+    """
+    def smoothed(amap):
+        heat = ex.gaussian_smooth(amap, cfg["explain"]["sigma"]).values
+        return heat, lm.binarize_percentile(heat, percentile)
 
-def _explain_metrics(amap_values, box, edge, percentile, gran_max):
-    mask = lm.binarize_percentile(amap_values, percentile)
-    gt = lm.rasterize_box(box, (edge, edge))
-    return lm.iou(mask, gt), _granulometry_summary(mask, gran_max)
+    maps = {}
+    if "grad_cam" in methods:
+        for tap, amap in ex.grad_cam(spec, params, image, ann.label, taps).items():
+            maps["grad_cam", tap] = smoothed(amap)
+    if "saliency" in methods:
+        maps.update(dict.fromkeys((("saliency", tap) for tap in taps),
+                                  smoothed(ex.saliency(spec, params, image, ann.label))))
+    if "lime" in methods:
+        lcfg = cfg["explain"]["lime"]
+        grid = ex.superpixel_grid(image.shape[1:], lcfg["patch_edge"])
 
+        def black_box(img):
+            scores, _ = net.forward_with_taps(spec, params, img[None])
+            return float(nm.softmax(scores[0])[ann.label])
 
-def _lime_for_image(spec, params, image, label, cfg, image_seed):
-    lcfg = cfg["explain"]["lime"]
-    edge = cfg["dataset"]["image_edge"]
-    grid = ex.superpixel_grid((edge, edge), lcfg["patch_edge"])
-
-    def black_box(img):
-        scores, _ = net.forward_with_taps(spec, params, img[None])
-        return float(nm.softmax(scores[0])[label])
-
-    expl = ex.lime_explain(
-        black_box, image, grid, lcfg["n_samples"], lcfg["ridge_lambda"],
-        lcfg["keep_prob"], min(lcfg["top_k"], grid.patch_count), make_rng(image_seed))
-    _, mask = ex.lime_mask(image, expl, grid)
-    weight_map = expl.patch_weights[grid.labels]
-    return mask, weight_map
-
-
-def _explain_image(spec, params, ann, image, cfg, methods, taps, master_seed,
-                   with_granulometry=True):
-    """All (method, tap) results for one image; pure, thread-safe.
-
-    Without granulometry the rows' granulometry summary is None."""
-    edge = cfg["dataset"]["image_edge"]
-    percentile = cfg["explain"]["percentile"]
-    sigma = cfg["explain"]["sigma"]
-    gran_max = cfg["granulometry"]["max_size"] if with_granulometry else None
-    label = ann.label
-    out = []  # (method, tap, heat values, row)
-    cache = {}
-    for method in methods:
-        for tap in taps:
-            if method == "grad_cam":
-                amap = ex.grad_cam(spec, params, image, label, tap)
-                smooth = ex.gaussian_smooth(amap, sigma)
-                iou_v, gsum = _explain_metrics(smooth.values, ann.box, edge, percentile, gran_max)
-                out.append((method, tap, smooth.values,
-                            (ann.image_id, method, tap, iou_v, percentile, gsum, None, None)))
-            elif method == "saliency":
-                if "saliency" not in cache:
-                    amap = ex.saliency(spec, params, image, label)
-                    cache["saliency"] = ex.gaussian_smooth(amap, sigma)
-                smooth = cache["saliency"]
-                iou_v, gsum = _explain_metrics(smooth.values, ann.box, edge, percentile, gran_max)
-                out.append((method, tap, smooth.values,
-                            (ann.image_id, method, tap, iou_v, percentile, gsum, None, None)))
-            else:  # lime
-                if "lime" not in cache:
-                    seed = derive_seed(master_seed, f"lime:{ann.image_id}")
-                    cache["lime"] = _lime_for_image(spec, params, image, label, cfg, seed)
-                mask, weight_map = cache["lime"]
-                gt = lm.rasterize_box(ann.box, (edge, edge))
-                ov = lm.lime_overlap(mask, ann.box)
-                out.append((method, tap, np.maximum(weight_map, 0.0),
-                            (ann.image_id, method, tap, lm.iou(mask, gt), None,
-                             _granulometry_summary(mask, gran_max), ov.count, ov.fraction)))
-    return out
+        rng = make_rng(derive_seed(cfg.seed, f"lime:{ann.image_id}"))
+        expl = ex.lime_explain(
+            black_box, image, grid, lcfg["n_samples"], lcfg["ridge_lambda"],
+            lcfg["keep_prob"], min(lcfg["top_k"], grid.patch_count), rng)
+        _, mask = ex.lime_mask(image, expl, grid)
+        heat = np.maximum(expl.patch_weights[grid.labels], 0.0)
+        maps.update(dict.fromkeys((("lime", tap) for tap in taps), (heat, mask)))
+    return maps
 
 
 def _load_weights_for(cfg, path):
@@ -277,27 +242,44 @@ def _load_weights_for(cfg, path):
 
 
 def cmd_explain(cfg: ExperimentConfig, args) -> int:
-    manifest = _load_dataset(cfg)
-    root = _dataset_dir(cfg)
-    spec, params = _load_weights_for(cfg, args.weights)
     methods = args.methods.split(",") if args.methods else cfg["explain"]["methods"]
     taps = [int(t) for t in args.taps.split(",")] if args.taps else cfg["explain"]["taps"]
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"--methods: unknown method {m!r} (use {METHODS})")
+    [(x, _, anns)] = _load_splits(cfg, "test")
+    spec, params = _load_weights_for(cfg, args.weights)
+    percentile = cfg["explain"]["percentile"]
+    edge = cfg["dataset"]["image_edge"]
 
-    x, y, anns = dat.load_split_arrays(manifest, root, "test")
     stem = Path(args.weights).stem
     out_root = cfg.out_dir / f"explain_{stem}"
     heat_root = out_root / "heatmaps"
     heat_root.mkdir(parents=True, exist_ok=True)
 
-    work = list(zip(anns, x))
-    results = _pool_map(
-        lambda item: _explain_image(spec, params, item[0], item[1], cfg,
-                                    methods, taps, cfg.seed),
-        work, cfg["jobs"])
+    def one(item):
+        ann, image = item
+        gt = lm.rasterize_box(ann.box, (edge, edge))
+        maps = _image_maps(spec, params, ann, image, cfg, methods, taps, percentile)
+        out = []  # (method, tap, heatmap, metrics row)
+        for method in methods:
+            for tap in taps:
+                heat, mask = maps[method, tap]
+                gsum = lm.granulometry(mask, cfg["granulometry"]["max_size"]).mean_size
+                if method == "lime":
+                    ov = lm.lime_overlap(mask, ann.box)
+                    row = (None, gsum, ov.count, ov.fraction)
+                else:
+                    row = (percentile, gsum, None, None)
+                out.append((method, tap, heat,
+                            (ann.image_id, method, tap, lm.iou(mask, gt), *row)))
+        return out
+
+    results = _pool_map(one, list(zip(anns, x)), cfg["jobs"])
     rows = []
     for per_image in results:
         for method, tap, heat, row in per_image:
-            _save_heatmap(heat, _heatmap_path(heat_root, row[0], method, tap))
+            _save_heatmap(heat, heat_root / f"{row[0]}_{method}_tap{tap}.pgm")
             rows.append(row)
     write_csv(out_root / "metrics.csv", "explain", rows, cfg,
               {"lime_seed_base": derive_seed(cfg.seed, "lime:000000")})
@@ -307,25 +289,21 @@ def cmd_explain(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
-    manifest = _load_dataset(cfg)
-    root = _dataset_dir(cfg)
+    [(x, _, anns)] = _load_splits(cfg, "test")
     spec, params_cl = _load_weights_for(cfg, args.weights_cl)
     _, params_e2e = _load_weights_for(cfg, args.weights_e2e)
     methods = cfg["explain"]["methods"]
     taps = cfg["explain"]["taps"]
-    x, y, anns = dat.load_split_arrays(manifest, root, "test")
+    percentile = cfg["explain"]["percentile"]
+    edge = cfg["dataset"]["image_edge"]
 
     def one(item):
         ann, image = item
-        # only the IOUs are kept, so no granulometry
-        res_cl = _explain_image(spec, params_cl, ann, image, cfg, methods, taps, cfg.seed,
-                                with_granulometry=False)
-        res_e2e = _explain_image(spec, params_e2e, ann, image, cfg, methods, taps, cfg.seed,
-                                 with_granulometry=False)
-        rows = []
-        for (m1, t1, _, row1), (m2, t2, _, row2) in zip(res_cl, res_e2e):
-            rows.append((ann.image_id, m1, t1, row1[3], row2[3]))
-        return rows
+        gt = lm.rasterize_box(ann.box, (edge, edge))
+        cl, e2e = (_image_maps(spec, params, ann, image, cfg, methods, taps, percentile)
+                   for params in (params_cl, params_e2e))
+        return [(ann.image_id, m, t, lm.iou(cl[m, t][1], gt), lm.iou(e2e[m, t][1], gt))
+                for m in methods for t in taps]
 
     results = _pool_map(one, list(zip(anns, x)), cfg["jobs"])
     pair_rows = [r for rows in results for r in rows]
@@ -355,8 +333,6 @@ def _annotations_by_image(anns):
 
 
 def cmd_detect(cfg: ExperimentConfig, args) -> int:
-    manifest = _load_dataset(cfg)
-    root = _dataset_dir(cfg)
     spec, params = _load_weights_for(cfg, args.weights)
     dcfg = cfg["detect"]
     tap = args.tap if args.tap is not None else dcfg["tap"]
@@ -366,13 +342,14 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
 
     if not 1 <= tap <= spec.tap_count:
         raise ConfigError(f"detect tap {tap} out of range 1..{spec.tap_count}")
+    if head_seeds < 1:
+        raise ConfigError(f"--head-seeds: must be >= 1, got {head_seeds}")
     if not 1 <= S <= min(spec.tap_shape(tap)[1:]):
         raise ConfigError(f"detect.S = {S} does not fit the {spec.tap_shape(tap)[1:]} "
                           f"feature map at tap {tap}")
 
-    x_tr, _, anns_tr = dat.load_split_arrays(manifest, root, "train")
-    x_va, _, anns_va = dat.load_split_arrays(manifest, root, "val")
-    x_te, _, anns_te = dat.load_split_arrays(manifest, root, "test")
+    (x_tr, _, anns_tr), (x_va, _, anns_va), (x_te, _, anns_te) = _load_splits(
+        cfg, "train", "val", "test")
 
     stem = Path(args.weights).stem
     out_root = cfg.out_dir / f"detect_{stem}_tap{tap}"
@@ -425,26 +402,19 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_granulometry(cfg: ExperimentConfig, args) -> int:
-    manifest = _load_dataset(cfg)
-    root = _dataset_dir(cfg)
+    [(x, _, anns)] = _load_splits(cfg, "test")
     spec, params = _load_weights_for(cfg, args.weights)
     taps = [int(t) for t in args.taps.split(",")] if args.taps else cfg["explain"]["taps"]
     percentile = cfg["granulometry"]["percentile"]
     max_size = cfg["granulometry"]["max_size"]
-    sigma = cfg["explain"]["sigma"]
-    edge = cfg["dataset"]["image_edge"]
     scheme = params.provenance.scheme
-
-    x, _, anns = dat.load_split_arrays(manifest, root, "test")
 
     def one(item):
         ann, image = item
+        maps = _image_maps(spec, params, ann, image, cfg, ["grad_cam"], taps, percentile)
         rows, summaries = [], []
         for tap in taps:
-            amap = ex.grad_cam(spec, params, image, ann.label, tap)
-            smooth = ex.gaussian_smooth(amap, sigma)
-            mask = lm.binarize_percentile(smooth.values, percentile)
-            spectrum = lm.granulometry(mask, max_size)
+            spectrum = lm.granulometry(maps["grad_cam", tap][1], max_size)
             for size, removed in zip(spectrum.sizes, spectrum.removed):
                 rows.append((ann.image_id, scheme, tap, size, removed))
             summaries.append((tap, spectrum.mean_size))

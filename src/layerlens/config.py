@@ -101,7 +101,7 @@ SCHEMA = {
     },
 }
 
-_METHODS = ("saliency", "grad_cam", "lime")
+METHODS = ("saliency", "grad_cam", "lime")
 
 
 def _check_leaf(path: str, kind, value):
@@ -162,8 +162,8 @@ def _semantic_checks(cfg: dict) -> None:
         raise ConfigError("model.widths: exactly 6 channel widths required")
     taps = len(cfg["model"]["widths"])  # one tap per conv layer
     for m in cfg["explain"]["methods"]:
-        if m not in _METHODS:
-            raise ConfigError(f"explain.methods: unknown method {m!r} (use {_METHODS})")
+        if m not in METHODS:
+            raise ConfigError(f"explain.methods: unknown method {m!r} (use {METHODS})")
     k = cfg["train"]["k"]
     if not 1 <= k <= taps:
         raise ConfigError(f"train.k: must be in 1..{taps}, got {k}")
@@ -172,6 +172,8 @@ def _semantic_checks(cfg: dict) -> None:
             raise ConfigError(f"explain.taps: tap {tap} out of range 1..{taps}")
     if not 1 <= cfg["detect"]["tap"] <= taps:
         raise ConfigError(f"detect.tap: out of range 1..{taps}")
+    if cfg["detect"]["head_seeds"] < 1:
+        raise ConfigError(f"detect.head_seeds: must be >= 1, got {cfg['detect']['head_seeds']}")
     if cfg["jobs"] < 1:
         raise ConfigError(f"jobs: must be >= 1, got {cfg['jobs']}")
     for section in ("explain", "granulometry"):

@@ -240,6 +240,8 @@ def read_image(path) -> np.ndarray:
         raise ImageFormatError(f"{path}: malformed header fields {tokens}") from None
     if maxval != 255:
         raise ImageFormatError(f"{path}: unsupported maxval {maxval}")
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"{path}: image size {w}x{h} is not positive")
     channels = 1 if magic == b"P5" else 3
     need = w * h * channels
     body = raw[pos:pos + need]
@@ -462,6 +464,10 @@ def load_split_arrays(manifest: DatasetManifest, root, split: str):
     x = np.zeros((len(anns), c, edge, edge))
     y = np.zeros(len(anns), dtype=np.int64)
     for i, a in enumerate(anns):
-        x[i] = read_image(Path(root) / a.path)
+        path = Path(root) / a.path
+        img = read_image(path)
+        if img.shape != x.shape[1:]:
+            raise ImageFormatError(f"{path}: image shape {img.shape}, expected {x.shape[1:]}")
+        x[i] = img
         y[i] = a.label
     return x, y, anns

@@ -69,9 +69,8 @@ def _single_image(image) -> np.ndarray:
 
 def saliency(spec: net.NetworkSpec, params: net.ModelParams, image, class_index: int) -> AttributionMap:
     """Absolute input gradient of the class score, channel-reduced by max."""
-    batch = _single_image(image)
-    g = net.backward_to_tap(spec, params, batch, class_index, tap=0)
-    values = np.abs(g[0]).max(axis=0)
+    _, grads = net.backward_to_tap(spec, params, _single_image(image), class_index, (0,))
+    values = np.abs(grads[0][0]).max(axis=0)
     return AttributionMap(values, "saliency", 0, class_index)
 
 
@@ -90,16 +89,21 @@ def cam_values(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     return np.maximum((alphas[:, None, None] * a).sum(axis=0), 0.0)
 
 
-def grad_cam(spec: net.NetworkSpec, params: net.ModelParams, image, class_index: int, tap: int) -> AttributionMap:
-    """Gradient-weighted class activation map at a tap, upsampled to the input."""
-    if not 1 <= tap <= spec.tap_count:
-        raise SpecError(f"tap {tap} out of range 1..{spec.tap_count}")
-    batch = _single_image(image)
-    _, taps = net.forward_with_taps(spec, params, batch, depth=tap)
-    grads = net.backward_to_tap(spec, params, batch, class_index, tap)
-    cam = cam_values(taps[tap][0], grads[0])
+def grad_cam(spec: net.NetworkSpec, params: net.ModelParams, image, class_index: int,
+             taps) -> dict[int, AttributionMap]:
+    """Gradient-weighted class activation maps at each of ``taps``, upsampled
+    to the input: ``{tap: AttributionMap}`` from one forward and one backward
+    pass."""
+    for tap in taps:
+        if not 1 <= tap <= spec.tap_count:
+            raise SpecError(f"tap {tap} out of range 1..{spec.tap_count}")
+    acts, grads = net.backward_to_tap(spec, params, _single_image(image), class_index, taps)
     h, w = spec.input_shape[1:]
-    return AttributionMap(bilinear_resize(cam, h, w), "grad_cam", tap, class_index)
+    maps = {}
+    for tap in taps:
+        cam = cam_values(acts[tap][0], grads[tap][0])
+        maps[tap] = AttributionMap(bilinear_resize(cam, h, w), "grad_cam", tap, class_index)
+    return maps
 
 
 def gaussian_smooth(amap: AttributionMap, sigma: float) -> AttributionMap:

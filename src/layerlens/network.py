@@ -326,26 +326,33 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
     return (x if full else None), taps
 
 
-def backward_to_tap(spec: NetworkSpec, params: ModelParams, batch, class_index: int, tap: int):
-    """Gradient of the selected class score w.r.t. the tap's activations.
+def backward_to_tap(spec: NetworkSpec, params: ModelParams, batch, class_index: int, taps):
+    """Activations at, and gradients of the selected class score w.r.t., each
+    tap in ``taps``: ``(acts, grads)``, two dicts keyed by tap.
 
-    The score is summed over the batch; since samples are independent the
-    result rows are per-sample gradients. Tap 0 yields the input gradient.
+    One forward pass, then one backward pass that records each requested tap
+    on its way down and stops at the lowest; tap 0 is the input batch and its
+    gradient the input gradient. The score is summed over the batch; since
+    samples are independent the rows are per-sample gradients.
     """
     x = _check_batch(spec, batch)
-    if not 0 <= tap <= spec.tap_count:
-        raise SpecError(f"tap {tap} out of range 0..{spec.tap_count}")
+    for tap in taps:
+        if not 0 <= tap <= spec.tap_count:
+            raise SpecError(f"tap {tap} out of range 0..{spec.tap_count}")
     if not 0 <= class_index < spec.class_count:
         raise SpecError(f"class index {class_index} out of range 0..{spec.class_count}")
     last = len(spec.layers) - 1
     scores, caches = run_span(spec, params, x, 0, last, want_caches=True)
     g = np.zeros_like(scores)
     g[:, class_index] = 1.0
-    boundary = -1 if tap == 0 else spec.tap_layers[tap - 1]
-    for i in range(last, boundary, -1):
+    tap_below = {(-1 if t == 0 else spec.tap_layers[t - 1]) + 1: t for t in taps}
+    acts, grads = {}, {}
+    for i in range(last, min(tap_below, default=last + 1) - 1, -1):
         g, _ = _layer_backward(spec.layers[i], params.blocks[i], caches[i], g,
                                want_params=False)
-    return g
+        if i in tap_below:  # g is now the gradient w.r.t. this layer's input
+            acts[tap_below[i]], grads[tap_below[i]] = caches[i], g
+    return acts, grads
 
 
 # ---------------------------------------------------------------------------

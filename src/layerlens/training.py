@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import network as net
-from .errors import SpecError, TrainingDiverged
+from .errors import LayerlensError, SpecError, TrainingDiverged
 from .seeding import derive_seed, make_rng
 
 
@@ -129,12 +129,15 @@ def fit(step, n: int, cfg: TrainConfig, rng: np.random.Generator, val_loss,
     and each array is updated in place with its own velocity. After each
     epoch ``val_loss()``, unless it is None, drives early stopping after
     ``cfg.patience`` epochs without improvement. A non-finite batch loss
-    raises ``TrainingDiverged`` naming ``label``. Returns the per-epoch mean
-    train losses and the val losses.
+    raises ``TrainingDiverged`` naming ``label``, and no training rows a
+    ``LayerlensError``. Returns the per-epoch mean train losses and the val
+    losses.
 
     Clipping caps the one-step blow-up (then dead relus) that the plain
     update is prone to on deeper spans.
     """
+    if n == 0 and cfg.epochs > 0:
+        raise LayerlensError(f"no training rows for {label}")
     train_losses: list[float] = []
     val_losses: list[float] = []
     velocity: dict[int, np.ndarray] = {}

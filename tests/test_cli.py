@@ -105,6 +105,7 @@ def test_config_flag_overrides_win(tmp_path):
     ({"explain": {"sigma": -1.0}}, "explain.sigma"),
     ({"explain": {"taps": [7]}}, "1..6"),
     ({"train": {"k": 7}}, "1..6"),
+    ({"detect": {"head_seeds": 0}}, "detect.head_seeds"),
 ])
 def test_config_semantic_errors(tmp_path, section, error):
     path = tmp_path / "bad.json"
@@ -180,7 +181,7 @@ def test_explain_outputs_and_equivalence(pipeline):
         image_id, method, tap = row[0], row[1], int(row[2])
         ann = by_id[image_id]
         image = dat.read_image(out / "dataset" / ann.path)
-        amap = ex.grad_cam(spec, params, image, ann.label, tap)
+        amap = ex.grad_cam(spec, params, image, ann.label, (tap,))[tap]
         smooth = ex.gaussian_smooth(amap, cfg["explain"]["sigma"])
         mask = lm.binarize_percentile(smooth.values, cfg["explain"]["percentile"])
         gt = lm.rasterize_box(ann.box, (32, 32))
@@ -284,6 +285,72 @@ def test_detect_grid_larger_than_tap_exit_2(pipeline, tmp_path, monkeypatch, cap
     assert main(["--config", str(cfg_path), "detect", *weights, "--tap", "7"]) == 2
     assert "out of range" in capsys.readouterr().err
     assert not (out / "detect_weights_e2e_tap6").exists()
+
+
+def test_detect_zero_head_seeds_exit_2(pipeline, monkeypatch, capsys):
+    from layerlens import training as tr
+
+    cfg_path, out = pipeline
+
+    def never(*args, **kwargs):
+        raise AssertionError("features cached before the config check")
+    monkeypatch.setattr(tr, "cache_frozen_features", never)
+    assert main(["--config", str(cfg_path), "detect", "--weights", str(out / "weights_e2e.llw"),
+                 "--tap", "5", "--head-seeds", "0"]) == 2
+    assert "--head-seeds: must be >= 1" in capsys.readouterr().err
+    assert not (out / "detect_weights_e2e_tap5").exists()
+
+
+def test_empty_train_split_exit_1(tmp_path, capsys):
+    cfg_path = make_config(tmp_path, dataset={
+        "n_images": 12, "image_edge": 32, "class_count": 3, "noise": 0.2,
+        "split_fractions": [0.0, 0.5, 0.5]})
+    assert main(["--config", str(cfg_path), "generate"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "train", "--scheme", "e2e"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no training rows for stage 'e2e'\n"
+
+
+def test_wrong_size_image_exit_1(pipeline, tmp_path, capsys):
+    _, pipeline_out = pipeline
+    cfg_path = make_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg_path), "generate"]) == 0
+    ann = dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test")[0]
+    dat.write_image(np.zeros((1, 16, 16)), out / "dataset" / ann.path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "explain",
+                 "--weights", str(pipeline_out / "weights_e2e.llw")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ann.path in err
+    assert "image shape (1, 16, 16), expected (1, 32, 32)" in err
+
+
+def test_explain_one_backward_per_image_and_method(pipeline, tmp_path, monkeypatch):
+    cfg_path, out = pipeline
+    weights = tmp_path / "weights_count.llw"
+    weights.write_bytes((out / "weights_e2e.llw").read_bytes())
+    calls = []
+    backward = net.backward_to_tap
+
+    def counted(spec, params, batch, class_index, taps):
+        calls.append(tuple(taps))
+        return backward(spec, params, batch, class_index, taps)
+    monkeypatch.setattr(net, "backward_to_tap", counted)
+    assert main(["--config", str(cfg_path), "explain", "--weights", str(weights),
+                 "--methods", "grad_cam,saliency", "--taps", "1,2,3,4,5,6"]) == 0
+    n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
+    assert sorted(calls) == [(0,)] * n_test + [(1, 2, 3, 4, 5, 6)] * n_test
+    _, _, rows = read_csv(out / "explain_weights_count" / "metrics.csv")
+    assert len(rows) == n_test * 6 * 2
+
+
+def test_explain_unknown_method_exit_2(pipeline, capsys):
+    cfg_path, out = pipeline
+    assert main(["--config", str(cfg_path), "explain", "--weights", str(out / "weights_e2e.llw"),
+                 "--methods", "grad_cam,occlusion"]) == 2
+    assert "unknown method 'occlusion'" in capsys.readouterr().err
 
 
 def test_granulometry_conservation_at_cli_level(pipeline):

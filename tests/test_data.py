@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from layerlens import data as ds
-from layerlens.errors import ImageFormatError, ManifestError, ShapeError
+from layerlens.errors import ImageFormatError, LayerlensError, ManifestError, ShapeError
 from layerlens.seeding import make_rng
 
 
@@ -134,6 +135,66 @@ def test_read_image_truncated(tmp_path):
     p.write_bytes(raw[:-3])
     with pytest.raises(ImageFormatError):
         ds.read_image(p)
+
+
+def _read_or_clean_error(path):
+    """read_image either returns a (c, h, w) image in [0, 1] or raises a
+    LayerlensError; any other exception fails the calling test."""
+    try:
+        img = ds.read_image(path)
+    except LayerlensError:
+        return
+    assert img.ndim == 3 and img.shape[0] in (1, 3) and min(img.shape) >= 1
+    assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+_fuzz = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_fuzz
+@given(raw=st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: b"P5" + b))
+def test_read_image_fuzz_random_bytes(tmp_path, raw):
+    p = tmp_path / "fuzz.pgm"
+    p.write_bytes(raw)
+    _read_or_clean_error(p)
+
+
+_FIELD = st.integers(-4, 9).map(str) | st.sampled_from(
+    ["", "x", "+3", "-0", "0x8", "1e1", "2.0", "\u0663", "99999999999"])
+
+
+@_fuzz
+@given(data=st.data())
+def test_read_image_fuzz_mutated_headers(tmp_path, data):
+    magic = data.draw(st.sampled_from([b"P5", b"P6", b"P3", b"p5"]))
+    w, h = data.draw(_FIELD), data.draw(_FIELD)
+    maxval = data.draw(st.just("255") | _FIELD)
+    sep = data.draw(st.sampled_from([b" ", b"\n", b"\t", b" #c\n", b"\n# 1 2\n"]))
+    end = data.draw(st.sampled_from([b"\n", b" ", b""]))
+    header = magic + sep + sep.join(f.encode() for f in (w, h, maxval)) + end
+    try:
+        need = int(w) * int(h) * (3 if magic == b"P6" else 1)
+    except ValueError:
+        need = 8
+    size = min(max(need + data.draw(st.integers(-3, 2)), 0), 400)
+    body = data.draw(st.binary(min_size=size, max_size=size))
+    p = tmp_path / "fuzz.pgm"
+    p.write_bytes(header + body)
+    _read_or_clean_error(p)
+
+
+@_fuzz
+@given(channels=st.sampled_from([1, 3]), h=st.integers(1, 5), w=st.integers(1, 5),
+       cut=st.integers(0, 80), flip=st.integers(0, 79), byte=st.integers(0, 255))
+def test_read_image_fuzz_truncated_and_flipped(tmp_path, channels, h, w, cut, flip, byte):
+    p = tmp_path / "fuzz.pgm"
+    ds.write_image(np.full((channels, h, w), 0.5), p)
+    raw = bytearray(p.read_bytes())
+    if flip < len(raw):
+        raw[flip] = byte
+    p.write_bytes(bytes(raw[:len(raw) - min(cut, len(raw))]))
+    _read_or_clean_error(p)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_saliency_matches_finite_difference_perturbation(conv_spec):
     img = rng.uniform(0.1, 1.0, (1, 8, 8))
     cls = 1
     amap = ex.saliency(conv_spec, params, img, cls)
-    grad = net.backward_to_tap(conv_spec, params, img[None], cls, tap=0)[0]
+    grad = net.backward_to_tap(conv_spec, params, img[None], cls, (0,))[1][0][0]
 
     def score(x):
         out, _ = net.forward_with_taps(conv_spec, params, x[None])
@@ -117,13 +117,13 @@ def test_grad_cam_equals_brute_force_on_model(conv_spec):
     rng = make_rng(6)
     img = rng.uniform(0, 1, (1, 8, 8))
     tap, cls = 2, 0
-    amap = ex.grad_cam(conv_spec, params, img, cls, tap)
+    amap = ex.grad_cam(conv_spec, params, img, cls, (tap,))[tap]
     assert amap.values.shape == (8, 8)
     assert amap.values.min() >= 0
 
     _, taps = net.forward_with_taps(conv_spec, params, img[None], depth=tap)
-    grads = net.backward_to_tap(conv_spec, params, img[None], cls, tap)
-    a, g = taps[tap][0], grads[0]
+    _, grads = net.backward_to_tap(conv_spec, params, img[None], cls, (tap,))
+    a, g = taps[tap][0], grads[tap][0]
     k, h, w = a.shape
     ref = np.zeros((h, w))
     for kk in range(k):
@@ -139,14 +139,67 @@ def test_grad_cam_nonnegative_random_models():
         spec = net.NetworkSpec(layers, (1, 6, 6), 2)
         params = net.init_params(spec, trial)
         img = rng.standard_normal((1, 6, 6))
-        amap = ex.grad_cam(spec, params, img, int(rng.integers(2)), 1)
+        amap = ex.grad_cam(spec, params, img, int(rng.integers(2)), (1,))[1]
         assert amap.values.min() >= 0
 
 
 def test_grad_cam_invalid_tap(conv_spec):
     params = net.init_params(conv_spec, 0)
     with pytest.raises(Exception):
-        ex.grad_cam(conv_spec, params, np.zeros((1, 8, 8)), 0, 9)
+        ex.grad_cam(conv_spec, params, np.zeros((1, 8, 8)), 0, (9,))
+
+
+def _two_pass_grad(spec, params, batch, cls, tap):
+    """The former per-tap gradient: its own forward and a backward to ``tap``."""
+    last = len(spec.layers) - 1
+    scores, caches = net.run_span(spec, params, batch, 0, last, want_caches=True)
+    g = np.zeros_like(scores)
+    g[:, cls] = 1.0
+    boundary = -1 if tap == 0 else spec.tap_layers[tap - 1]
+    for i in range(last, boundary, -1):
+        g, _ = net._layer_backward(spec.layers[i], params.blocks[i], caches[i], g,
+                                   want_params=False)
+    return g
+
+
+def test_one_pass_grad_cam_equals_two_pass_per_tap(monkeypatch):
+    spec = net.build_six_layer_net((1, 32, 32), 3, [8, 8, 16, 16, 32, 32])
+    forward = net.forward_with_taps
+    rng = make_rng(10)
+    for seed in range(4):
+        params = net.init_params(spec, seed)
+        img = rng.uniform(0, 1, (1, 32, 32))
+        for cls in range(3):
+            # reference: taps from a forward to each depth, gradients from a
+            # separate full forward and backward per tap
+            refs = {}
+            for tap in range(1, 7):
+                _, acts = forward(spec, params, img[None], depth=tap)
+                g = _two_pass_grad(spec, params, img[None], cls, tap)
+                refs[tap] = ex.bilinear_resize(ex.cam_values(acts[tap][0], g[0]), 32, 32)
+            g0 = _two_pass_grad(spec, params, img[None], cls, 0)
+
+            monkeypatch.setattr(net, "forward_with_taps", None)  # one pass only
+            maps = ex.grad_cam(spec, params, img, cls, range(1, 7))
+            sal = ex.saliency(spec, params, img, cls)
+            monkeypatch.setattr(net, "forward_with_taps", forward)
+            assert sorted(maps) == list(range(1, 7))
+            for tap in range(1, 7):
+                assert maps[tap].tap == tap
+                assert np.array_equal(maps[tap].values, refs[tap])
+            assert np.array_equal(sal.values, np.abs(g0[0]).max(axis=0))
+
+
+def test_backward_to_tap_records_each_tap(conv_spec):
+    params = net.init_params(conv_spec, 3)
+    x = make_rng(4).uniform(0, 1, (2, 1, 8, 8))
+    acts, grads = net.backward_to_tap(conv_spec, params, x, 1, (2, 0, 1))
+    _, fwd = net.forward_with_taps(conv_spec, params, x)
+    assert np.array_equal(acts[0], x)
+    for tap in (0, 1, 2):
+        assert np.array_equal(grads[tap], _two_pass_grad(conv_spec, params, x, 1, tap))
+        if tap:
+            assert np.array_equal(acts[tap], fwd[tap])
 
 
 # ---------------------------------------------------------------------------

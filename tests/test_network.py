@@ -101,7 +101,7 @@ def test_backward_to_final_tap_matches_finite_differences(tiny_net):
     rng = make_rng(3)
     x = rng.standard_normal((1, 1, 8, 8))
     tap = 2
-    g = net.backward_to_tap(tiny_net, params, x, class_index=1, tap=tap)
+    g = net.backward_to_tap(tiny_net, params, x, class_index=1, taps=(tap,))[1][tap]
 
     tap_layer = tiny_net.tap_layers[tap - 1]
     acts = net.run_span(tiny_net, params, x, 0, tap_layer)
@@ -120,7 +120,7 @@ def test_backward_zero_head_gives_zero_gradient(tiny_net):
     di = len(tiny_net.layers) - 1
     w, b = params.blocks[di]
     params.blocks[di] = (np.zeros_like(w), np.zeros_like(b))
-    g = net.backward_to_tap(tiny_net, params, np.ones((1, 1, 8, 8)), 0, tap=1)
+    g = net.backward_to_tap(tiny_net, params, np.ones((1, 1, 8, 8)), 0, taps=(1,))[1][1]
     assert np.array_equal(g, np.zeros_like(g))
 
 
@@ -128,7 +128,7 @@ def test_backward_to_input_is_score_gradient(tiny_net):
     # tap 0 gradient = d(score)/d(image), checked against finite differences
     params = net.init_params(tiny_net, 6)
     x = make_rng(4).standard_normal((1, 1, 8, 8))
-    g = net.backward_to_tap(tiny_net, params, x, class_index=2, tap=0)
+    g = net.backward_to_tap(tiny_net, params, x, class_index=2, taps=(0,))[1][0]
     assert g.shape == x.shape
 
     def score(xv):
@@ -142,7 +142,7 @@ def test_backward_to_input_is_score_gradient(tiny_net):
 def test_backward_invalid_tap(tiny_net):
     params = net.init_params(tiny_net, 0)
     with pytest.raises(SpecError):
-        net.backward_to_tap(tiny_net, params, np.zeros((1, 1, 8, 8)), 0, tap=3)
+        net.backward_to_tap(tiny_net, params, np.zeros((1, 1, 8, 8)), 0, taps=(3,))
 
 
 def test_aux_head_forward_backward(tiny_net):
