@@ -117,9 +117,10 @@ def _full_accuracy(spec, params, x, y, batch_size=256) -> float:
 
 
 def _pool_map(fn, items, jobs: int):
-    if jobs <= 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -198,6 +199,12 @@ def _save_heatmap(values: np.ndarray, path: Path) -> None:
         fh.write(f"min={_fmt(lo)} max={_fmt(hi)}\n")
 
 
+# LIME perturbations scored per forward pass: larger batches stop paying at
+# about 8 on the preset net, while each thread's layer-1 im2col copy (and so
+# peak memory) keeps growing with the batch
+LIME_BATCH = 8
+
+
 def _image_maps(spec, params, ann, image, cfg, methods, taps, percentile):
     """``{(method, tap): (heatmap, binary mask)}`` for one image; pure, thread-safe.
 
@@ -221,9 +228,11 @@ def _image_maps(spec, params, ann, image, cfg, methods, taps, percentile):
         lcfg = cfg["explain"]["lime"]
         grid = ex.superpixel_grid(image.shape[1:], lcfg["patch_edge"])
 
-        def black_box(img):
-            scores, _ = net.forward_with_taps(spec, params, img[None])
-            return float(nm.softmax(scores[0])[ann.label])
+        def black_box(stack):
+            (scores,) = tr.map_batches(
+                lambda xb: (nm.softmax(net.forward_with_taps(spec, params, xb)[0])[:, ann.label],),
+                LIME_BATCH, stack)
+            return scores
 
         rng = make_rng(derive_seed(cfg.seed, f"lime:{ann.image_id}"))
         expl = ex.lime_explain(
@@ -263,9 +272,11 @@ def cmd_explain(cfg: ExperimentConfig, args) -> int:
         maps = _image_maps(spec, params, ann, image, cfg, methods, taps, percentile)
         out = []  # (method, tap, heatmap, metrics row)
         for method in methods:
+            gsum = None
             for tap in taps:
                 heat, mask = maps[method, tap]
-                gsum = lm.granulometry(mask, cfg["granulometry"]["max_size"]).mean_size
+                if gsum is None or method == "grad_cam":  # other masks fit every tap
+                    gsum = lm.granulometry(mask, cfg["granulometry"]["max_size"]).mean_size
                 if method == "lime":
                     ov = lm.lime_overlap(mask, ann.box)
                     row = (None, gsum, ov.count, ov.fraction)

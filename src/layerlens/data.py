@@ -71,6 +71,10 @@ class ShapeSpec:
     @classmethod
     def from_json(cls, text: str) -> "ShapeSpec":
         d = json.loads(text)
+        counts = (d["image_edge"], *d["size_range"], d["distractors"], d["channels"])
+        if not all(type(v) is int for v in counts):
+            raise ShapeError(
+                "image_edge, size_range, distractors and channels must be integers")
         return cls(
             image_edge=d["image_edge"],
             size_range=tuple(d["size_range"]),
@@ -377,7 +381,10 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     referenced image resolvable relative to the manifest's directory.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{path}: not UTF-8 text ({e})") from None
     lines = text.splitlines()
     if not lines:
         raise ManifestError(f"{path}: empty manifest file")
@@ -406,7 +413,7 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
         elif key == "generator":
             try:
                 generator = ShapeSpec.from_json(rest)
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+            except (KeyError, TypeError, ValueError) as e:  # ValueError: bad JSON, ShapeError
                 _fail(no, f"field 'generator': {e}")
         elif key == "count":
             try:

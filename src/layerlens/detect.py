@@ -338,6 +338,9 @@ def load_head(path) -> DetectHead:
     tap, S, B, class_count = r.unpack("<4H")
     kernel, bias = r.array(), r.array()
     r.finish()
+    if min(tap, S, B, class_count) < 1:
+        raise WeightsError(
+            f"head file header tap={tap} S={S} B={B} classes={class_count}: each must be >= 1")
     if kernel.ndim != 4 or kernel.shape[0] != B * 5 + class_count or bias.shape != kernel.shape[:1]:
         raise WeightsError(
             f"head file arrays {kernel.shape}, {bias.shape} do not fit B={B}, "

@@ -178,9 +178,10 @@ def lime_explain(
     """Perturbation-based patch attribution.
 
     Draws binary masks keeping each patch with probability ``keep_prob``
-    (dropped patches are zeroed in the image), scores each perturbed image
-    with ``black_box``, fits a ridge regression of the scores on the presence
-    vectors, and selects the k highest-weight patches.
+    (dropped patches are zeroed in the image), scores the (n, c, h, w) stack
+    of perturbed images with one ``black_box`` call that returns (n,) scores,
+    fits a ridge regression of the scores on the presence vectors, and
+    selects the k highest-weight patches.
     """
     img = nm.as_f64(image)
     if img.ndim == 2:
@@ -192,10 +193,10 @@ def lime_explain(
     if n_samples > 1 and np.all(z == z[0]):
         raise DegenerateDesign(
             f"all {n_samples} perturbation masks identical (keep_prob={keep_prob})")
-    scores = np.empty(n_samples)
-    for i in range(n_samples):
-        pixel_keep = z[i][grid.labels]
-        scores[i] = float(black_box(img * pixel_keep[None, :, :]))
+    scores = nm.as_f64(black_box(img[None] * z[:, grid.labels][:, None]))
+    if scores.shape != (n_samples,):
+        raise ShapeError(
+            f"black box returned scores of shape {scores.shape}, expected ({n_samples},)")
     weights, intercept = _ridge_fit(z, scores, ridge_lambda)
     order = np.lexsort((np.arange(p), -weights))
     selected = tuple(int(i) for i in order[:k])

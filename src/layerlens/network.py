@@ -10,6 +10,7 @@ and a provenance record (training scheme, split sizes, seed).
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -306,6 +307,11 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
     every tap <= depth. Class scores are returned only for a full-depth run
     (depth None or equal to the tap count); otherwise execution stops right
     after the deepest requested tap and the first element is None.
+
+    A row's class scores do not depend on the rest of its batch: the dense
+    classifier runs one row at a time. Conv rows equal their batch-1 values
+    wherever BLAS multiplies one image's patches and a batch's with the
+    same kernel, as it does for every layer of the preset net.
     """
     x = _check_batch(spec, batch)
     if depth is None:
@@ -319,7 +325,12 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
     last_layer = len(spec.layers) - 1 if full else spec.tap_layers[depth - 1]
     tap_of_layer = {li: t + 1 for t, li in enumerate(spec.tap_layers)}
     for i in range(last_layer + 1):
-        x = _layer_forward(spec.layers[i], params.blocks[i], x)
+        layer, block = spec.layers[i], params.blocks[i]
+        if isinstance(layer, Dense):
+            # an n-row matmul rounds differently from a one-row one
+            x = np.concatenate([_layer_forward(layer, block, x[r:r + 1]) for r in range(len(x))])
+        else:
+            x = _layer_forward(layer, block, x)
         t = tap_of_layer.get(i)
         if t is not None and t <= depth:
             taps[t] = x
@@ -444,8 +455,10 @@ class SealedReader:
 
     def array(self) -> np.ndarray:
         (ndim,) = self.unpack("<B")
+        if ndim > 4:  # kernels are the highest-rank arrays either format holds
+            raise WeightsError(f"{self.kind} file holds an array of rank {ndim}, at most 4")
         shape = self.unpack(f"<{ndim}I")
-        count = int(np.prod(shape)) if ndim else 1
+        count = math.prod(shape)  # a Python int: a forged shape cannot overflow it
         return np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
 
     def finish(self) -> None:
@@ -496,7 +509,10 @@ def load_weights(path, spec: NetworkSpec) -> ModelParams:
     r = SealedReader(path, _MAGIC, "weight", version=_VERSION)
     (seed,) = r.unpack("<Q")
     (scheme_len,) = r.unpack("<B")
-    scheme = r.take(scheme_len).decode("utf-8")
+    try:
+        scheme = r.take(scheme_len).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise WeightsError(f"weight file scheme name is not UTF-8: {e}") from None
     (n_splits,) = r.unpack("<B")
     splits = r.unpack(f"<{n_splits}H") if n_splits else ()
     stored_hash = r.take(32)

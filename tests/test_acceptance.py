@@ -268,8 +268,8 @@ def test_criterion_8_lime_planted_signal():
     planted = 3
     inside = grid.labels == planted
 
-    def black_box(im):
-        return float((im[0] > 0)[inside].sum())
+    def black_box(stack):
+        return np.array([float((im[0] > 0)[inside].sum()) for im in stack])
 
     hits = 0
     for seed in range(100):

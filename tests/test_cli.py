@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,13 +11,16 @@ import numpy as np
 import pytest
 
 import layerlens
+from layerlens import cli
 from layerlens import data as dat
 from layerlens import explain as ex
 from layerlens import locmetrics as lm
 from layerlens import network as net
+from layerlens import numerics as nm
 from layerlens.cli import main, read_csv
 from layerlens.config import load_config
 from layerlens.errors import ConfigError
+from layerlens.seeding import derive_seed, make_rng
 
 
 def make_config(tmp_path, **overrides):
@@ -344,6 +348,122 @@ def test_explain_one_backward_per_image_and_method(pipeline, tmp_path, monkeypat
     assert sorted(calls) == [(0,)] * n_test + [(1, 2, 3, 4, 5, 6)] * n_test
     _, _, rows = read_csv(out / "explain_weights_count" / "metrics.csv")
     assert len(rows) == n_test * 6 * 2
+
+
+def _per_sample_lime(spec, params, ann, image, cfg):
+    """LIME as it was before batching: one batch-1 forward per perturbation,
+    in a Python loop; returns (heatmap, mask)."""
+    lcfg = cfg["explain"]["lime"]
+    grid = ex.superpixel_grid(image.shape[1:], lcfg["patch_edge"])
+    rng = make_rng(derive_seed(cfg.seed, f"lime:{ann.image_id}"))
+    n, p = lcfg["n_samples"], grid.patch_count
+    z = (rng.random((n, p)) < lcfg["keep_prob"]).astype(np.float64)
+    scores = np.empty(n)
+    for i in range(n):
+        pixel_keep = z[i][grid.labels]
+        out, _ = net.forward_with_taps(spec, params, (image * pixel_keep[None, :, :])[None])
+        scores[i] = float(nm.softmax(out[0])[ann.label])
+    weights, _ = ex._ridge_fit(z, scores, lcfg["ridge_lambda"])
+    k = min(lcfg["top_k"], p)
+    selected = np.lexsort((np.arange(p), -weights))[:k]
+    return np.maximum(weights[grid.labels], 0.0), np.isin(grid.labels, selected)
+
+
+def test_batched_lime_equals_per_sample_lime(pipeline, tmp_path):
+    """On the preset six-layer net, scoring LIME's perturbations in batches
+    reproduces the per-sample scores bit for bit, so the heatmap and mask
+    match. (Nets this narrow-and-small that BLAS switches matmul kernels
+    between one image and a batch agree only to the last bits.)"""
+    cfg_path, out = pipeline
+    [(x, _, anns)] = cli._load_splits(load_config(cfg_path), "test")
+    cfg = load_config(make_config(tmp_path, model={"widths": [8, 8, 16, 16, 32, 32]}))
+    assert cfg["explain"]["lime"]["n_samples"] % cli.LIME_BATCH  # a ragged last batch
+    spec = cli._build_spec(cfg)
+    for seed in (0, 1):
+        params = net.init_params(spec, seed)
+        for ann, image in zip(anns, x):
+            maps = cli._image_maps(spec, params, ann, image, cfg, ["lime"], [2, 4], 50.0)
+            heat, mask = _per_sample_lime(spec, params, ann, image, cfg)
+            for tap in (2, 4):
+                assert np.array_equal(maps["lime", tap][0], heat)
+                assert np.array_equal(maps["lime", tap][1], mask)
+
+
+def test_explain_lime_forwards_in_batches(pipeline, tmp_path, monkeypatch):
+    cfg_path, out = pipeline
+    weights = tmp_path / "weights_lime.llw"
+    weights.write_bytes((out / "weights_e2e.llw").read_bytes())
+    calls = []
+    forward = net.forward_with_taps
+
+    def counted(spec, params, batch, depth=None):
+        calls.append(len(batch))
+        return forward(spec, params, batch, depth)
+    monkeypatch.setattr(net, "forward_with_taps", counted)
+    assert main(["--config", str(cfg_path), "explain", "--weights", str(weights),
+                 "--methods", "lime"]) == 0
+    n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
+    n_samples = load_config(cfg_path)["explain"]["lime"]["n_samples"]
+    assert len(calls) == n_test * math.ceil(n_samples / cli.LIME_BATCH)
+    assert max(calls) == cli.LIME_BATCH and sum(calls) == n_test * n_samples
+
+
+def test_explain_one_spectrum_per_mask(pipeline, tmp_path, monkeypatch):
+    """Saliency and LIME give one mask for every tap, so one spectrum each;
+    Grad-CAM gives one per tap."""
+    cfg_path, out = pipeline
+    weights = tmp_path / "weights_gran.llw"
+    weights.write_bytes((out / "weights_e2e.llw").read_bytes())
+    calls = []
+    granulometry = lm.granulometry
+
+    def counted(mask, max_size):
+        calls.append(mask)
+        return granulometry(mask, max_size)
+    monkeypatch.setattr(lm, "granulometry", counted)
+    assert main(["--config", str(cfg_path), "explain", "--weights", str(weights),
+                 "--methods", "grad_cam,saliency,lime", "--taps", "1,2,3,4,5,6"]) == 0
+    n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
+    assert len(calls) == n_test * (6 + 1 + 1)
+    _, _, rows = read_csv(out / "explain_weights_gran" / "metrics.csv")
+    assert len(rows) == n_test * 6 * 3
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records the worker count asked for
+    and runs the work on the calling thread."""
+
+    def __init__(self, requested):
+        self.requested = requested
+
+    def __call__(self, max_workers):
+        self.requested.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_capped_at_work_items(pipeline, tmp_path, monkeypatch):
+    cfg_path, out = pipeline
+    weights = tmp_path / "weights_jobs.llw"
+    weights.write_bytes((out / "weights_e2e.llw").read_bytes())
+    requested = []
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _InlinePool(requested))
+    assert main(["--config", str(cfg_path), "--jobs", "64", "explain",
+                 "--weights", str(weights), "--taps", "2"]) == 0
+    n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
+    assert requested == [n_test]
+    # no pool at all for zero or one item, whatever --jobs says
+    assert cli._pool_map(lambda v: v + 1, [], 8) == []
+    assert cli._pool_map(lambda v: v + 1, [1], 8) == [2]
+    assert requested == [n_test]
 
 
 def test_explain_unknown_method_exit_2(pipeline, capsys):

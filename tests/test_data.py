@@ -260,9 +260,17 @@ def test_manifest_malformed_line_diagnostics(tmp_path):
     assert "line 5" in str(e.value)
 
 
+_GENERATOR = ("layerlens-manifest 1\nclasses a,b\nseed 3\n"
+              'generator {"image_edge":%s,"size_range":%s,"intensity_range":[0.7,1.0],'
+              '"noise":0.2,"distractors":0,"channels":%s}\n')
+
+
 @pytest.mark.parametrize("text, line", [
     ("layerlens-manifest x\n", "line 1"),
     ("layerlens-manifest 1\ncount twelve\n", "line 2"),
+    *((_GENERATOR % fields, "line 4") for fields in [
+        ("32", "[4,8,9]", "1"), ("32.0", "[4,8]", "1"), ("32", "[4,8]", "1.0"),
+        ("32", "[4,8]", "true")]),
 ])
 def test_manifest_non_integer_fields(tmp_path, text, line):
     p = tmp_path / "manifest.txt"
@@ -277,6 +285,47 @@ def test_manifest_unknown_record(tmp_path):
     with pytest.raises(ManifestError) as e:
         ds.load_manifest(p, check_files=False)
     assert "bogus" in str(e.value)
+
+
+def _load_manifest_or_clean_error(path):
+    """load_manifest either returns a manifest whose images could be loaded
+    or raises a LayerlensError; any other exception fails the calling test."""
+    try:
+        m = ds.load_manifest(path, check_files=False)
+    except LayerlensError:
+        return
+    edge, channels = m.generator.image_edge, m.generator.channels
+    assert type(edge) is int and channels in (1, 3) and type(channels) is int
+    for a in m.annotations:
+        assert a.split in ds.SPLIT_NAMES and 0 <= a.label < len(m.class_names)
+        a.box.check_bounds((edge, edge))
+
+
+@_fuzz
+@given(raw=st.binary(max_size=200)
+       | st.binary(max_size=200).map(lambda b: b"layerlens-manifest 1\n" + b))
+def test_load_manifest_fuzz_random_bytes(tmp_path, raw):
+    p = tmp_path / "manifest.txt"
+    p.write_bytes(raw)
+    _load_manifest_or_clean_error(p)
+
+
+@_fuzz
+@given(data=st.data())
+def test_load_manifest_fuzz_replaced_cut_or_extended(tmp_path, data):
+    p = tmp_path / "manifest.txt"
+    ds.save_manifest(make_manifest(3), p)
+    raw = bytearray(p.read_bytes())
+    edit = data.draw(st.sampled_from(["replace", "cut", "extend"]))
+    if edit == "replace":
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(
+            st.integers(0, 255) | st.sampled_from(b"0123456789.-e ,[]{}:\"\n"))
+    elif edit == "cut":
+        del raw[len(raw) - data.draw(st.integers(1, len(raw))):]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    p.write_bytes(bytes(raw))
+    _load_manifest_or_clean_error(p)
 
 
 # ---------------------------------------------------------------------------

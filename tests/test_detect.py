@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layerlens import detect as dt
 from layerlens import network as net
@@ -10,6 +11,7 @@ from layerlens import numerics as nm
 from layerlens.errors import (
     BadMagic,
     ChecksumMismatch,
+    LayerlensError,
     ShapeError,
     TruncatedFile,
     WeightsError,
@@ -435,6 +437,70 @@ def test_head_file_kernel_shape_checked(tmp_path):
     reseal(path, rank1)
     with pytest.raises(WeightsError, match="do not fit"):
         dt.load_head(path)
+
+
+def test_head_file_forged_array_header(tmp_path):
+    # 2**31 * 2**31 * 4 elements: a product that wraps to 0 in int64
+    path = tmp_path / "h.llh"
+    reseal(path, b"LLH1" + struct.pack("<4H", 3, 4, 2, 3)
+           + struct.pack("<B3I", 3, 2**31, 2**31, 4) + net.pack_array(np.zeros(13)))
+    with pytest.raises(TruncatedFile, match="head file truncated"):
+        dt.load_head(path)
+    reseal(path, b"LLH1" + struct.pack("<4H", 3, 4, 2, 3) + struct.pack("<B", 95) + bytes(400))
+    with pytest.raises(WeightsError, match="rank 95"):
+        dt.load_head(path)
+
+
+def test_head_file_zero_grid_rejected(tmp_path):
+    path = tmp_path / "h.llh"
+    head = sample_head()
+    head.S = 0
+    dt.save_head(head, path)
+    with pytest.raises(WeightsError, match="S=0"):
+        dt.load_head(path)
+
+
+def _load_head_or_clean_error(path):
+    """load_head either returns a usable head or raises a LayerlensError; any
+    other exception fails the calling test."""
+    try:
+        head = dt.load_head(path)
+    except LayerlensError:
+        return
+    assert min(head.tap, head.S, head.B, head.class_count) >= 1
+    assert head.kernel.ndim == 4 and head.kernel.shape[0] == head.B * 5 + head.class_count
+    assert head.bias.shape == head.kernel.shape[:1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=128) | st.binary(max_size=128).map(lambda b: b"LLH1" + b))
+def test_load_head_fuzz_random_bytes(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "h.llh"
+    path.write_bytes(raw)
+    _load_head_or_clean_error(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), reseal_it=st.booleans())
+def test_load_head_fuzz_replaced_cut_or_extended(tmp_path_factory, data, reseal_it):
+    """A saved head with one byte replaced, or cut short, or extended; with
+    ``reseal_it`` the checksum is recomputed so the parser itself is reached."""
+    path = tmp_path_factory.mktemp("fuzz") / "h.llh"
+    dt.save_head(sample_head(), path)
+    raw = bytearray(path.read_bytes()[:-32] if reseal_it else path.read_bytes())
+    edit = data.draw(st.sampled_from(["replace", "cut", "extend"]))
+    if edit == "replace":
+        at = data.draw(st.integers(0, 48) | st.integers(0, len(raw) - 1))  # headers first
+        raw[min(at, len(raw) - 1)] = data.draw(st.integers(0, 255))
+    elif edit == "cut":
+        del raw[len(raw) - data.draw(st.integers(1, len(raw))):]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    if reseal_it:
+        reseal(path, bytes(raw))
+    else:
+        path.write_bytes(bytes(raw))
+    _load_head_or_clean_error(path)
 
 
 def test_decode_hand_built_grid():

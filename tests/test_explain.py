@@ -279,13 +279,18 @@ def test_grid_partitions_every_pixel(h, w, edge):
 # lime
 
 
+def batched(score):
+    """A batch black box from a per-image one: (n, c, h, w) -> (n,) scores."""
+    return lambda stack: np.array([score(img) for img in stack])
+
+
 def planted_black_box(grid, patch_id):
     inside = grid.labels == patch_id
 
     def bb(img):
         return float((img[0] > 0)[inside].sum())
 
-    return bb
+    return batched(bb)
 
 
 def test_lime_recovers_planted_patch():
@@ -327,7 +332,7 @@ def test_lime_matches_normal_equations_oracle():
         return float(coeffs @ present + 0.7)
 
     lam = 0.3
-    res = ex.lime_explain(bb, img, grid, 20, lam, 0.5, 2, make_rng(21))
+    res = ex.lime_explain(batched(bb), img, grid, 20, lam, 0.5, 2, make_rng(21))
     z, y = res.samples, res.scores
     n, p = z.shape
     a = np.zeros((p + 1, p + 1))
@@ -351,14 +356,22 @@ def test_lime_linear_black_box_exact_in_lambda_zero_limit():
         return float(coeffs @ present)
 
     img = np.ones((1, 4, 16))
-    res = ex.lime_explain(bb, img, grid, 40, 1e-10, 0.5, 2, make_rng(5))
+    res = ex.lime_explain(batched(bb), img, grid, 40, 1e-10, 0.5, 2, make_rng(5))
     assert np.abs(res.patch_weights - coeffs).max() < 1e-6
+
+
+@pytest.mark.parametrize("scores", [np.zeros(29), np.zeros((30, 1)), np.float64(0.0)])
+def test_lime_black_box_must_return_one_score_per_sample(scores):
+    grid = ex.superpixel_grid((4, 4), 2)
+    with pytest.raises(ShapeError, match=r"expected \(30,\)"):
+        ex.lime_explain(lambda stack: scores, np.ones((1, 4, 4)), grid, 30,
+                        1.0, 0.5, 1, make_rng(0))
 
 
 def test_lime_degenerate_design_reported():
     grid = ex.superpixel_grid((4, 4), 2)
     with pytest.raises(DegenerateDesign):
-        ex.lime_explain(lambda im: 0.0, np.ones((1, 4, 4)), grid, 30,
+        ex.lime_explain(batched(lambda im: 0.0), np.ones((1, 4, 4)), grid, 30,
                         1.0, 1e-9, 1, make_rng(0))  # keep_prob ~ 0: all-zero masks
 
 

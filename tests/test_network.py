@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from layerlens import network as net
 from layerlens import numerics as nm
 from layerlens.errors import (
     BadMagic,
     ChecksumMismatch,
+    LayerlensError,
     ShapeError,
     SpecError,
     SpecMismatch,
@@ -83,6 +87,27 @@ def test_tap_compositionality(tiny_net):
     assert np.array_equal(taps[2], taps2[2])
     prefix = net.run_span(tiny_net, params, x, 0, tiny_net.tap_layers[1])
     assert np.array_equal(prefix, taps[2])
+
+
+def test_forward_rows_independent_of_batch():
+    """Each row's class scores and tap activations equal the batch-1 call,
+    bit for bit, on the preset six-layer net; LIME scores its perturbations
+    in batches and relies on this."""
+    spec = net.build_six_layer_net((1, 32, 32), 3, [8, 8, 16, 16, 32, 32])
+    rng = make_rng(12)
+    for seed in range(3):
+        params = net.init_params(spec, seed)
+        # LIME-like inputs: random images with zeroed 4x4 patches
+        keep = (rng.random((150, 1, 8, 8)) < 0.5).repeat(4, axis=2).repeat(4, axis=3)
+        x = rng.uniform(0, 1, (150, 1, 32, 32)) * keep
+        alone = [net.forward_with_taps(spec, params, x[i:i + 1]) for i in range(150)]
+        for n in (1, 2, 7, 8, 150):
+            scores, taps = net.forward_with_taps(spec, params, x[:n])
+            for i in range(n):
+                ref_scores, ref_taps = alone[i]
+                assert np.array_equal(scores[i], ref_scores[0])
+                for t in range(1, 7):
+                    assert np.array_equal(taps[t][i], ref_taps[t][0])
 
 
 def test_forward_shape_mismatch(tiny_net):
@@ -268,3 +293,47 @@ def test_frozen_flags_round_trip(tmp_path, tiny_net):
     path = tmp_path / "w.llw"
     net.save_weights(tiny_net, params, path)
     assert net.load_weights(path, tiny_net).frozen == params.frozen
+
+
+def _load_or_clean_error(path, spec):
+    """load_weights either returns parameters that fit ``spec`` or raises a
+    LayerlensError; any other exception fails the calling test."""
+    try:
+        params = net.load_weights(path, spec)
+    except LayerlensError:
+        return
+    assert len(params.blocks) == len(params.frozen) == len(spec.layers)
+    for i, block in enumerate(params.blocks):
+        assert tuple(a.shape for a in (block or ())) == spec.param_shapes(i)
+
+
+_fuzz = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_fuzz
+@given(raw=st.binary(max_size=128) | st.binary(max_size=128).map(lambda b: b"LLW1" + b))
+def test_load_weights_fuzz_random_bytes(tmp_path, tiny_net, raw):
+    path = tmp_path / "fuzz.llw"
+    path.write_bytes(raw)
+    _load_or_clean_error(path, tiny_net)
+
+
+@_fuzz
+@given(data=st.data(), reseal=st.booleans())
+def test_load_weights_fuzz_replaced_cut_or_extended(tmp_path, tiny_net, data, reseal):
+    """A saved file with one byte replaced, or cut short, or extended; with
+    ``reseal`` the checksum is recomputed so the parser itself is reached."""
+    path = tmp_path / "fuzz.llw"
+    net.save_weights(tiny_net, net.init_params(tiny_net, 3), path)
+    raw = bytearray(path.read_bytes()[:-32] if reseal else path.read_bytes())
+    edit = data.draw(st.sampled_from(["replace", "cut", "extend"]))
+    if edit == "replace":
+        at = data.draw(st.integers(0, 48) | st.integers(0, len(raw) - 1))  # headers first
+        raw[min(at, len(raw) - 1)] = data.draw(st.integers(0, 255))
+    elif edit == "cut":
+        del raw[len(raw) - data.draw(st.integers(1, len(raw))):]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    path.write_bytes(bytes(raw) + (hashlib.sha256(raw).digest() if reseal else b""))
+    _load_or_clean_error(path, tiny_net)
