@@ -26,6 +26,7 @@ from . import numerics as nm
 from . import training as tr
 from .config import METHODS, ExperimentConfig, load_config
 from .errors import ConfigError, LayerlensError
+from .fileio import atomic_open
 from .seeding import derive_seed, make_rng
 
 CSV_SCHEMAS = {
@@ -58,7 +59,7 @@ def _fmt(v) -> str:
 def write_csv(path, schema_key: str, rows, cfg: ExperimentConfig, subseeds: dict) -> None:
     name, header = CSV_SCHEMAS[schema_key]
     note = " ".join(f"{k}={v}" for k, v in subseeds.items())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema={name} config={cfg.hash} seed={cfg.seed} {note}\n".rstrip() + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -195,7 +196,7 @@ def _save_heatmap(values: np.ndarray, path: Path) -> None:
     lo, hi = float(values.min()), float(values.max())
     scaled = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
     dat.write_image(scaled[None, :, :], path)
-    with open(str(path) + ".meta", "w", encoding="utf-8") as fh:
+    with atomic_open(str(path) + ".meta", "w", encoding="utf-8") as fh:
         fh.write(f"min={_fmt(lo)} max={_fmt(hi)}\n")
 
 
@@ -361,6 +362,8 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
 
     (x_tr, _, anns_tr), (x_va, _, anns_va), (x_te, _, anns_te) = _load_splits(
         cfg, "train", "val", "test")
+    if not len(x_tr):
+        raise LayerlensError(f"no training rows for detection head at tap {tap}")
 
     stem = Path(args.weights).stem
     out_root = cfg.out_dir / f"detect_{stem}_tap{tap}"

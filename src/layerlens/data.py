@@ -21,6 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ImageFormatError, ManifestError, ShapeError
+from .fileio import atomic_open
 from .locmetrics import GtBox
 from .seeding import derive_seed, make_rng
 
@@ -209,7 +210,7 @@ def write_image(tensor, path) -> None:
     data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
     magic = b"P5" if c == 1 else b"P6"
     body = data[0] if c == 1 else np.moveaxis(data, 0, 2)  # interleave rgb
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
         fh.write(body.tobytes())
 
@@ -366,7 +367,8 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         lines.append(
             f"annotation {a.image_id} {a.path} {a.label} "
             f"{a.box.x} {a.box.y} {a.box.w} {a.box.h} {a.split}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _fail(line_no: int, message: str):

@@ -27,6 +27,7 @@ from .errors import (
     VersionMismatch,
     WeightsError,
 )
+from .fileio import atomic_open
 from .seeding import make_rng
 
 
@@ -415,7 +416,7 @@ def pack_array(a: np.ndarray) -> bytes:
 
 def write_sealed(path, magic: bytes, parts: list[bytes]) -> None:
     payload = b"".join([magic, *parts])
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(payload + hashlib.sha256(payload).digest())
 
 
@@ -491,7 +492,7 @@ def save_weights(spec: NetworkSpec, params: ModelParams, path) -> None:
         parts.append(struct.pack("<B", len(arrays)))
         parts.extend(pack_array(a) for a in arrays)
     write_sealed(path, _MAGIC, parts)
-    with open(str(path) + ".spec", "w", encoding="utf-8") as fh:
+    with atomic_open(str(path) + ".spec", "w", encoding="utf-8") as fh:
         fh.write(spec.canonical_text())
         fh.write(f"scheme {prov.scheme}\n")
         if prov.splits:

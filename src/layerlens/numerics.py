@@ -50,6 +50,18 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad) -> np.ndarray:
     return win[:, :, ::stride, ::stride]
 
 
+def _patches(x: np.ndarray, kh: int, kw: int, stride: int, pad) -> np.ndarray:
+    """Kernel-major patch matrix ("im2col") of shape (c*kh*kw, n*oh*ow).
+
+    Rows run over (channel, kernel row, kernel column) and columns over
+    (image, output row, output column), so each contiguous run the copy
+    makes is one whole output row.
+    """
+    win = _windows(x, kh, kw, stride, pad)
+    n, c, oh, ow = win.shape[:4]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
+
+
 def conv2d(x, kernel, bias=None, stride: int = 1, pad=0) -> Tensor4:
     """Cross-correlation of ``x`` (n, c, h, w) with ``kernel`` (out_c, c, kh, kw)."""
     x = check_tensor4(x, "conv input")
@@ -72,9 +84,8 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad=0) -> Tensor4:
             f"conv output collapses: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, pad {pad} -> ({oh}, {ow})"
         )
-    win = _windows(x, kh, kw, stride, pad)
-    y = np.tensordot(win, kernel, axes=([1, 4, 5], [1, 2, 3]))  # (n, oh, ow, out_c)
-    y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+    y = kernel.reshape(out_c, -1) @ _patches(x, kh, kw, stride, pad)
+    y = np.ascontiguousarray(y.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3))
     if bias is not None:
         bias = as_f64(bias)
         if bias.shape != (out_c,):
@@ -84,7 +95,16 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad=0) -> Tensor4:
 
 
 def conv2d_param_grads(x, kernel_shape, d_out, stride: int = 1, pad=0):
-    """Kernel/bias gradients only (cheaper when the input is frozen)."""
+    """Kernel/bias gradients only (cheaper when the input is frozen).
+
+    This product keeps the (n*oh*ow, c*kh*kw) patch layout of ``_windows``
+    rather than the kernel-major ``_patches`` that ``conv2d`` uses. A
+    kernel-major kernel gradient differs in the last bits at layer 0 of the
+    preset net on batches of 13 rows or fewer, and preset-localise ends
+    every epoch with such a batch (2027 or 2028 train images at batch 32),
+    so it would move every trained weight. That is the one reason for two
+    patch layouts.
+    """
     x = check_tensor4(x, "conv input")
     d_out = check_tensor4(d_out, "conv upstream gradient")
     out_c, in_c, kh, kw = kernel_shape
@@ -92,6 +112,19 @@ def conv2d_param_grads(x, kernel_shape, d_out, stride: int = 1, pad=0):
     d_kernel = np.tensordot(d_out, win, axes=([0, 2, 3], [0, 2, 3]))
     d_bias = d_out.sum(axis=(0, 2, 3))
     return d_kernel, d_bias
+
+
+def _grid_slices(n_out: int, size: int, k: int, pad: int, stride: int) -> tuple[slice, slice]:
+    """(destination, source) slices that place output positions 0..n_out-1
+    at k-1-pad + stride*i along one axis of a (size+k-1)-long array,
+    keeping only the positions that land inside it."""
+    offset = k - 1 - pad
+    first = max(0, -(offset // stride))  # ceil(-offset / stride) when offset < 0
+    last = min(n_out - 1, (size + k - 2 - offset) // stride)
+    if last < first:
+        return slice(0, 0), slice(0, 0)
+    start = offset + stride * first
+    return (slice(start, offset + stride * last + 1, stride), slice(first, last + 1))
 
 
 def conv2d_backward(x, kernel, d_out, stride: int = 1, pad=0, *,
@@ -113,14 +146,17 @@ def conv2d_backward(x, kernel, d_out, stride: int = 1, pad=0, *,
     if want_params:
         d_kernel, d_bias = conv2d_param_grads(x, kernel.shape, d_out, stride, pad)
     if want_input:
-        # scatter d_out onto the stride grid, then full-correlate with the
-        # flipped kernel (transposed convolution)
-        hd, wd = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-        d_dil = np.zeros((n, out_c, hd, wd), dtype=np.float64)
-        d_dil[:, :, ::stride, ::stride] = d_out
+        # transposed convolution at the input's exact size: scatter d_out on
+        # the stride grid of a (h+kh-1, w+kw-1) array at offset
+        # (kh-1-ph, kw-1-pw), then correlate with the flipped kernel. Output
+        # positions whose window lies wholly in the padding fall outside the
+        # array and are dropped; they reach no input pixel.
+        d_z = np.zeros((n, out_c, h + kh - 1, w + kw - 1), dtype=np.float64)
+        rows = _grid_slices(d_out.shape[2], h, kh, ph, stride)
+        cols = _grid_slices(d_out.shape[3], w, kw, pw, stride)
+        d_z[:, :, rows[0], cols[0]] = d_out[:, :, rows[1], cols[1]]
         k_flip = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        d_full = conv2d(d_dil, k_flip, None, stride=1, pad=(kh - 1, kw - 1))
-        d_input = d_full[:, :, ph:ph + h, pw:pw + w]
+        d_input = conv2d(d_z, k_flip)
     return d_input, d_kernel, d_bias
 
 

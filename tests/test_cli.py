@@ -346,6 +346,97 @@ def test_empty_train_split_exit_1(tmp_path, capsys):
     assert err == "error: no training rows for stage 'e2e'\n"
 
 
+def test_detect_empty_train_split_exit_1(pipeline, tmp_path, monkeypatch, capsys):
+    from layerlens import training as tr
+
+    _, pipeline_out = pipeline
+    cfg_path = make_config(tmp_path, dataset={
+        "n_images": 12, "image_edge": 32, "class_count": 3, "noise": 0.2,
+        "split_fractions": [0.0, 0.5, 0.5]})
+    assert main(["--config", str(cfg_path), "generate"]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("features cached for an empty train split")
+    monkeypatch.setattr(tr, "cache_frozen_features", never)
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "detect",
+                 "--weights", str(pipeline_out / "weights_e2e.llw")]) == 1
+    assert capsys.readouterr().err == "error: no training rows for detection head at tap 4\n"
+
+
+def _fail_writes_to(monkeypatch, target):
+    """Make atomic writes of ``target`` write a few bytes, then fail."""
+    from layerlens import fileio
+
+    real_open = open
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            self.fh.write(data[:3])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return Failing(fh) if Path(path).name.startswith(f".{Path(target).name}.") else fh
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+
+
+@pytest.mark.parametrize("writer", ["csv", "heatmap", "meta", "image", "manifest",
+                                    "sealed", "spec"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer):
+    """A write that fails partway leaves the previous file and no temporary."""
+    cfg = load_config(make_config(tmp_path))
+    out = tmp_path / "out"
+    out.mkdir()
+    spec = net.build_six_layer_net((1, 32, 32), 3, [4, 4, 6, 6, 8, 8])
+    params = net.init_params(spec, 0)
+    manifest = dat.generate_shapes_dataset(dat.ShapeSpec(), 6, 3, 1, tmp_path / "ds")
+
+    def write(version):
+        """(target file, a call that writes version ``version`` of it)"""
+        rows = [(i, version, 0.5) for i in range(4)]
+        heat = np.arange(16.0).reshape(4, 4) ** version
+        return {
+            "csv": (out / "r.csv",
+                    lambda: cli.write_csv(out / "r.csv", "detect_report", rows, cfg, {})),
+            "heatmap": (out / "h.pgm", lambda: cli._save_heatmap(heat, out / "h.pgm")),
+            "meta": (out / "h.pgm.meta", lambda: cli._save_heatmap(heat, out / "h.pgm")),
+            "image": (out / "i.pgm",
+                      lambda: dat.write_image(np.full((1, 4, 4), version / 4), out / "i.pgm")),
+            "manifest": (out / "m.txt", lambda: dat.save_manifest(
+                dat.DatasetManifest(manifest.version, manifest.class_names, version,
+                                    manifest.generator, manifest.annotations), out / "m.txt")),
+            "sealed": (out / "s.bin",
+                       lambda: net.write_sealed(out / "s.bin", b"TEST", [bytes([version]) * 64])),
+            "spec": (out / "w.llw.spec", lambda: net.save_weights(
+                spec, net.ModelParams(params.blocks, params.frozen,
+                                      net.Provenance("E2E", (), version)), out / "w.llw")),
+        }[writer]
+
+    target, first = write(1)
+    first()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    target, second = write(2)
+    _fail_writes_to(monkeypatch, target)
+    with pytest.raises(OSError, match="No space left"):
+        second()
+    assert target.read_bytes() == before[target.name]
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    monkeypatch.undo()
+    second()
+    assert target.read_bytes() != before[target.name]
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+
 def test_wrong_size_image_exit_1(pipeline, tmp_path, capsys):
     _, pipeline_out = pipeline
     cfg_path = make_config(tmp_path)

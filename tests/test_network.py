@@ -89,13 +89,17 @@ def test_tap_compositionality(tiny_net):
     assert np.array_equal(prefix, taps[2])
 
 
+# the preset net's widths, and the narrow net of the reproducibility check
+BATCH_INVARIANCE_WIDTHS = ([8, 8, 16, 16, 32, 32], [4, 4, 6, 6, 8, 8])
+
+
 def test_forward_rows_independent_of_batch():
     """Each row's class scores and tap activations equal the batch-1 call,
-    bit for bit, on the preset six-layer net; LIME scores its perturbations
-    in batches and relies on this."""
-    spec = net.build_six_layer_net((1, 32, 32), 3, [8, 8, 16, 16, 32, 32])
+    bit for bit, on the preset and the narrow six-layer net; LIME scores its
+    perturbations in batches and relies on this."""
     rng = make_rng(12)
-    for seed in range(3):
+    for widths, seed in [(w, s) for w in BATCH_INVARIANCE_WIDTHS for s in range(3)]:
+        spec = net.build_six_layer_net((1, 32, 32), 3, widths)
         params = net.init_params(spec, seed)
         # LIME-like inputs: random images with zeroed 4x4 patches
         keep = (rng.random((150, 1, 8, 8)) < 0.5).repeat(4, axis=2).repeat(4, axis=3)
@@ -108,6 +112,23 @@ def test_forward_rows_independent_of_batch():
                 assert np.array_equal(scores[i], ref_scores[0])
                 for t in range(1, 7):
                     assert np.array_equal(taps[t][i], ref_taps[t][0])
+
+
+def test_backward_rows_independent_of_batch():
+    """On a batch of 12, each row's activations and gradients at taps 0-6
+    equal the batch-1 call, bit for bit, on the preset and the narrow net."""
+    rng = make_rng(13)
+    taps = tuple(range(7))
+    for widths, seed in [(w, s) for w in BATCH_INVARIANCE_WIDTHS for s in range(2)]:
+        spec = net.build_six_layer_net((1, 32, 32), 3, widths)
+        params = net.init_params(spec, seed)
+        x = rng.uniform(0, 1, (12, 1, 32, 32))
+        acts, grads = net.backward_to_tap(spec, params, x, seed % 3, taps)
+        for i in range(12):
+            ref_acts, ref_grads = net.backward_to_tap(spec, params, x[i:i + 1], seed % 3, taps)
+            for t in taps:
+                assert np.array_equal(acts[t][i], ref_acts[t][0])
+                assert np.array_equal(grads[t][i], ref_grads[t][0])
 
 
 def test_forward_shape_mismatch(tiny_net):

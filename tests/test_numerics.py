@@ -83,6 +83,78 @@ def test_conv_backward_partial_requests_equal_full_call(stride, pad):
     assert np.array_equal(only_params[2], d_b)
 
 
+@pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1), (1, 3), (2, 3)])
+def test_conv_backward_finite_differences_per_stride_and_pad(stride, pad):
+    """Pads of 3 exceed kh-1 = 2: some outputs' windows lie wholly in padding."""
+    rng = make_rng(100 + 10 * stride + pad)
+    x = rng.standard_normal((2, 2, 7, 6))
+    k = rng.standard_normal((3, 2, 3, 3))
+    up = rng.standard_normal(nm.conv2d(x, k, None, stride, pad).shape)
+    d_x, d_k, _ = nm.conv2d_backward(x, k, up, stride, pad)
+    assert d_x.shape == x.shape
+    fd_x = nm.finite_diff_grad(lambda v: float((nm.conv2d(v, k, None, stride, pad) * up).sum()), x)
+    fd_k = nm.finite_diff_grad(lambda v: float((nm.conv2d(x, v, None, stride, pad) * up).sum()), k)
+    assert rel_err(d_x, fd_x) < 1e-6
+    assert rel_err(d_k, fd_k) < 1e-6
+
+
+# The six conv layers of the preset net (widths 8,8,16,16,32,32 on a 1x32x32
+# input, 3x3 kernels, stride 1, pad 1): (in channels, out channels, side).
+PRESET_CONVS = [(1, 8, 32), (8, 8, 32), (8, 16, 16), (16, 16, 16), (16, 32, 8), (32, 32, 8)]
+
+
+def conv2d_reference(x, kernel, bias, stride, pad):
+    """Patch-major formulation: tensordot over a (n, c, oh, ow, kh, kw) window view."""
+    win = nm._windows(x, kernel.shape[2], kernel.shape[3], stride, pad)
+    y = np.tensordot(win, kernel, axes=([1, 4, 5], [1, 2, 3]))
+    y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+    return y + bias[None, :, None, None]
+
+
+def conv2d_input_grad_reference(x, kernel, d_out, stride, pad):
+    """Zero-dilate d_out, full-correlate with the flipped kernel, crop to x."""
+    n, _, h, w = x.shape
+    out_c, _, kh, kw = kernel.shape
+    d_dil = np.zeros((n, out_c, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1))
+    d_dil[:, :, ::stride, ::stride] = d_out
+    k_flip = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    d_full = conv2d_reference(d_dil, k_flip, np.zeros(k_flip.shape[0]), 1, kh - 1)
+    return d_full[:, :, pad:pad + h, pad:pad + w]
+
+
+@pytest.mark.parametrize("layer", range(6))
+def test_conv_forward_equals_patch_major_reference(layer):
+    c_in, c_out, side = PRESET_CONVS[layer]
+    rng = make_rng(200 + layer)
+    k = rng.standard_normal((c_out, c_in, 3, 3))
+    b = rng.standard_normal(c_out)
+    for n in (1, 2, 3, 7, 8, 12, 32, 150):
+        x = rng.standard_normal((n, c_in, side, side))
+        assert np.array_equal(nm.conv2d(x, k, b, 1, 1), conv2d_reference(x, k, b, 1, 1))
+
+
+@pytest.mark.parametrize("layer", range(6))
+def test_conv_backward_equals_reference_on_preset_layers(layer):
+    """Kernel gradients equal the reference on every preset layer; input
+    gradients on layers 1-5. Layer 0's input gradient is a one-row product
+    (c_in = 1) whose last bits may differ."""
+    c_in, c_out, side = PRESET_CONVS[layer]
+    rng = make_rng(300 + layer)
+    k = rng.standard_normal((c_out, c_in, 3, 3))
+    for n in (1, 3, 12, 32):
+        x = rng.standard_normal((n, c_in, side, side))
+        up = rng.standard_normal((n, c_out, side, side))
+        d_x, d_k, d_b = nm.conv2d_backward(x, k, up, 1, 1)
+        win = nm._windows(x, 3, 3, 1, 1)
+        assert np.array_equal(d_k, np.tensordot(up, win, axes=([0, 2, 3], [0, 2, 3])))
+        assert np.array_equal(d_b, up.sum(axis=(0, 2, 3)))
+        ref_x = conv2d_input_grad_reference(x, k, up, 1, 1)
+        if layer == 0:
+            assert rel_err(d_x, ref_x) < 1e-14
+        else:
+            assert np.array_equal(d_x, ref_x)
+
+
 @given(scale=st.floats(-3, 3), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_conv_linearity_with_zero_bias(scale, seed):
