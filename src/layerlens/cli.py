@@ -24,7 +24,7 @@ from . import locmetrics as lm
 from . import network as net
 from . import numerics as nm
 from . import training as tr
-from .config import METHODS, ExperimentConfig, load_config
+from .config import METHODS, ExperimentConfig, check_taps, load_config
 from .errors import ConfigError, LayerlensError
 from .fileio import atomic_open
 from .seeding import derive_seed, make_rng
@@ -101,20 +101,15 @@ def _build_spec(cfg: ExperimentConfig) -> net.NetworkSpec:
         d["class_count"], m["widths"], m["kernel"])
 
 
-def _train_config(section: dict, seed: int) -> tr.TrainConfig:
-    return tr.TrainConfig(
-        epochs=section["epochs"], lr=section["lr"], momentum=section["momentum"],
-        batch_size=section["batch_size"], seed=seed, patience=section["patience"],
-        clip_norm=section["clip_norm"])
-
-
-def _full_accuracy(spec, params, x, y, batch_size=256) -> float:
-    if not len(x):
-        return 0.0
-    (hits,) = tr.map_batches(
-        lambda xb, yb: (net.forward_with_taps(spec, params, xb)[0].argmax(axis=1) == yb,),
-        batch_size, x, y)
-    return int(hits.sum()) / len(x)
+def _taps(cfg: ExperimentConfig, flag: str | None) -> list[int]:
+    """The taps a ``--taps`` flag names, by the config's rule; ``explain.taps`` without it."""
+    if flag is None:
+        return cfg["explain"]["taps"]
+    try:
+        taps = [int(t) for t in flag.split(",")]
+    except ValueError:
+        raise ConfigError(f"--taps: expected comma-separated integers, got {flag!r}") from None
+    return check_taps("--taps", taps)
 
 
 def _pool_map(fn, items, jobs: int):
@@ -159,17 +154,18 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     k = args.k if args.k is not None else cfg["train"]["k"]
 
     if scheme == "e2e":
-        tcfg = _train_config(cfg["train"]["e2e"], derive_seed(cfg.seed, "train:e2e"))
+        tcfg = tr.TrainConfig(**cfg["train"]["e2e"], seed=derive_seed(cfg.seed, "train:e2e"))
         params, report = tr.train_e2e(spec, train, tcfg, val)
     else:
-        tcfg = _train_config(cfg["train"]["cascade"], derive_seed(cfg.seed, f"train:cl{k}"))
+        tcfg = tr.TrainConfig(**cfg["train"]["cascade"],
+                              seed=derive_seed(cfg.seed, f"train:cl{k}"))
         plan = tr.make_split_plan(spec.tap_count, k)
         params, report = tr.train_cascade(spec, train, tcfg, plan, val)
 
-    pcfg = _train_config(cfg["train"]["probe"], derive_seed(cfg.seed, f"probe:{scheme}"))
+    pcfg = tr.TrainConfig(**cfg["train"]["probe"], seed=derive_seed(cfg.seed, f"probe:{scheme}"))
     _, probe_acc = tr.train_probes(spec, params, train, pcfg, val)
-    train_acc = _full_accuracy(spec, params, x_tr, y_tr)
-    val_acc = _full_accuracy(spec, params, x_va, y_va) if len(x_va) else None
+    # the last stage (e2e, or cl_classifier) trained the whole model
+    train_acc, val_acc = report.stages[-1].train_acc, report.stages[-1].val_acc
 
     weights_path = cfg.out_dir / _weights_name(scheme, k)
     net.save_weights(spec, params, weights_path)
@@ -253,7 +249,7 @@ def _load_weights_for(cfg, path):
 
 def cmd_explain(cfg: ExperimentConfig, args) -> int:
     methods = args.methods.split(",") if args.methods else cfg["explain"]["methods"]
-    taps = [int(t) for t in args.taps.split(",")] if args.taps else cfg["explain"]["taps"]
+    taps = _taps(cfg, args.taps)
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"--methods: unknown method {m!r} (use {METHODS})")
@@ -352,8 +348,7 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     S, B = dcfg["S"], dcfg["B"]
     edge = cfg["dataset"]["image_edge"]
 
-    if not 1 <= tap <= spec.tap_count:
-        raise ConfigError(f"detect tap {tap} out of range 1..{spec.tap_count}")
+    check_taps("--tap", [tap])
     if head_seeds < 1:
         raise ConfigError(f"--head-seeds: must be >= 1, got {head_seeds}")
     if not 1 <= S <= min(spec.tap_shape(tap)[1:]):
@@ -375,7 +370,7 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     test_feats = tr.cache_frozen_features(spec, params, x_te, tap)
     reports, first_detections = [], None
     for i in range(head_seeds):
-        tcfg = _train_config(dcfg["train"], derive_seed(cfg.seed, f"detect:{tap}:{i}"))
+        tcfg = tr.TrainConfig(**dcfg["train"], seed=derive_seed(cfg.seed, f"detect:{tap}:{i}"))
         head, _rep = dt.train_detection_head(
             spec, tap, train_feats, _annotations_by_image(anns_tr), S, B, tcfg,
             val_feats=val_feats,
@@ -418,7 +413,7 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
 def cmd_granulometry(cfg: ExperimentConfig, args) -> int:
     [(x, _, anns)] = _load_splits(cfg, "test")
     spec, params = _load_weights_for(cfg, args.weights)
-    taps = [int(t) for t in args.taps.split(",")] if args.taps else cfg["explain"]["taps"]
+    taps = _taps(cfg, args.taps)
     percentile = cfg["granulometry"]["percentile"]
     max_size = cfg["granulometry"]["max_size"]
     scheme = params.provenance.scheme

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, SpecError
+from .training import TrainConfig
 
 PRESETS = {
     "preset-localise": "localise.json",
@@ -102,6 +103,7 @@ SCHEMA = {
 }
 
 METHODS = ("saliency", "grad_cam", "lime")
+TAP_COUNT = 6  # one tap per conv layer of the six-layer net
 
 
 def _check_leaf(path: str, kind, value):
@@ -157,25 +159,40 @@ def _merge(schema: dict, given: dict, path: str = "") -> dict:
     return out
 
 
+def check_taps(where: str, taps: list[int]) -> list[int]:
+    """``taps`` unchanged if each is a tap of the six-layer net (1..6);
+    otherwise a ``ConfigError`` naming ``where``."""
+    for tap in taps:
+        if not 1 <= tap <= TAP_COUNT:
+            raise ConfigError(f"{where}: tap {tap} out of range 1..{TAP_COUNT}")
+    return taps
+
+
 def _semantic_checks(cfg: dict) -> None:
-    if len(cfg["model"]["widths"]) != 6:
-        raise ConfigError("model.widths: exactly 6 channel widths required")
-    taps = len(cfg["model"]["widths"])  # one tap per conv layer
+    if len(cfg["model"]["widths"]) != TAP_COUNT:
+        raise ConfigError(f"model.widths: exactly {TAP_COUNT} channel widths required")
+    at_least_one = [("model.widths", w) for w in cfg["model"]["widths"]] + [
+        ("model.kernel", cfg["model"]["kernel"]), ("jobs", cfg["jobs"]),
+        ("detect.head_seeds", cfg["detect"]["head_seeds"]),
+        ("explain.lime.n_samples", cfg["explain"]["lime"]["n_samples"]),
+        ("granulometry.max_size", cfg["granulometry"]["max_size"])]
+    for where, value in at_least_one:
+        if value < 1:
+            raise ConfigError(f"{where}: must be >= 1, got {value}")
     for m in cfg["explain"]["methods"]:
         if m not in METHODS:
             raise ConfigError(f"explain.methods: unknown method {m!r} (use {METHODS})")
     k = cfg["train"]["k"]
-    if not 1 <= k <= taps:
-        raise ConfigError(f"train.k: must be in 1..{taps}, got {k}")
-    for tap in cfg["explain"]["taps"]:
-        if not 1 <= tap <= taps:
-            raise ConfigError(f"explain.taps: tap {tap} out of range 1..{taps}")
-    if not 1 <= cfg["detect"]["tap"] <= taps:
-        raise ConfigError(f"detect.tap: out of range 1..{taps}")
-    if cfg["detect"]["head_seeds"] < 1:
-        raise ConfigError(f"detect.head_seeds: must be >= 1, got {cfg['detect']['head_seeds']}")
-    if cfg["jobs"] < 1:
-        raise ConfigError(f"jobs: must be >= 1, got {cfg['jobs']}")
+    if not 1 <= k <= TAP_COUNT:
+        raise ConfigError(f"train.k: must be in 1..{TAP_COUNT}, got {k}")
+    for section, trainer in [("train", "e2e"), ("train", "cascade"), ("train", "probe"),
+                             ("detect", "train")]:
+        try:
+            TrainConfig(**cfg[section][trainer])
+        except SpecError as e:
+            raise ConfigError(f"{section}.{trainer}: {e}") from None
+    check_taps("explain.taps", cfg["explain"]["taps"])
+    check_taps("detect.tap", [cfg["detect"]["tap"]])
     for section in ("explain", "granulometry"):
         p = cfg[section]["percentile"]
         if not 0 < p < 100:

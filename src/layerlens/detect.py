@@ -11,7 +11,7 @@ The coordinate loss is squared error on the cell-relative centre and on the
 square roots of width/height, restricted to responsible cells (the cell
 containing an object's centre owns it). Evaluation: greedy NMS, then AP as
 the area under the all-point interpolated precision-recall curve, averaged
-over classes and optionally over an IOU-threshold schedule.
+over classes and over an IOU-threshold schedule.
 """
 
 from __future__ import annotations
@@ -481,12 +481,6 @@ class DetectionSet:
         self.detections[image_id] = list(detections)
         self.ground_truth[image_id] = [(int(c), tuple(b)) for c, b in ground_truth]
 
-    def class_ids(self):
-        ids = set()
-        for gts in self.ground_truth.values():
-            ids.update(c for c, _ in gts)
-        return sorted(ids)
-
 
 def _match_class(dets, gts, iou_threshold):
     """Greedy one-to-one matching of score-ranked detections to ground truth.
@@ -544,10 +538,11 @@ def default_schedule() -> list[float]:
     return [(50 + 5 * i) / 100 for i in range(10)]
 
 
-def map_evaluate(detection_set: DetectionSet, schedule=None) -> dict[str, float]:
-    """Class-averaged AP at 0.5 and 0.75, the schedule mean, and the mean
-    matched-box IOU at 0.5. Classes without ground truth are excluded."""
-    schedule = default_schedule() if schedule is None else list(schedule)
+def map_evaluate(detection_set: DetectionSet) -> dict[str, float]:
+    """Class-averaged AP at 0.5 and 0.75, its mean over ``default_schedule()``,
+    and the mean matched-box IOU at 0.5. Classes without ground truth are
+    excluded. The AP at each threshold is computed once: the schedule holds
+    0.5 and 0.75."""
     per_class: dict[int, tuple[list, list]] = {}
     for img, gts in detection_set.ground_truth.items():
         for c, box in gts:
@@ -561,13 +556,14 @@ def map_evaluate(detection_set: DetectionSet, schedule=None) -> dict[str, float]
         aps = [average_precision(d, g, threshold) for d, g in per_class.values()]
         return float(np.mean(aps)) if aps else 0.0
 
+    by_threshold = {t: mean_ap(t) for t in default_schedule()}
     all_ious = []
     for dets, gts in per_class.values():
         _, matched, _ = _match_class(dets, gts, 0.5)
         all_ious.extend(matched)
     return {
-        "mAP.5": mean_ap(0.5),
-        "mAP.75": mean_ap(0.75),
-        "mAP.5:.95:.05": float(np.mean([mean_ap(t) for t in schedule])),
+        "mAP.5": by_threshold[0.5],
+        "mAP.75": by_threshold[0.75],
+        "mAP.5:.95:.05": float(np.mean(list(by_threshold.values()))),
         "mIOU": float(np.mean(all_ious)) if all_ious else 0.0,
     }

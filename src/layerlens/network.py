@@ -218,10 +218,6 @@ class ModelParams:
     frozen: list[bool]
     provenance: Provenance
 
-    def copy(self) -> "ModelParams":
-        blocks = [None if b is None else tuple(a.copy() for a in b) for b in self.blocks]
-        return ModelParams(blocks, list(self.frozen), self.provenance)
-
 
 def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
     """Fan-in-scaled uniform init (limit sqrt(6/fan_in)), zero biases, seeded."""
@@ -304,10 +300,10 @@ def _check_batch(spec: NetworkSpec, batch) -> np.ndarray:
 def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int | None = None):
     """Forward pass capturing tap activations.
 
-    ``depth`` limits how many taps are computed; activations are captured for
-    every tap <= depth. Class scores are returned only for a full-depth run
-    (depth None or equal to the tap count); otherwise execution stops right
-    after the deepest requested tap and the first element is None.
+    With ``depth=None`` every tap is captured and the class scores are
+    returned first. With ``depth=d`` execution stops right after tap ``d``,
+    even when it is the last tap: taps 1..d are captured and the first
+    element is None.
 
     A row's class scores do not depend on the rest of its batch: the dense
     classifier runs one row at a time. Conv rows equal their batch-1 values
@@ -315,11 +311,11 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
     same kernel, as it does for every layer of the preset net.
     """
     x = _check_batch(spec, batch)
-    if depth is None:
+    full = depth is None
+    if full:
         depth = spec.tap_count
-    if not 0 <= depth <= spec.tap_count:
+    elif not 0 <= depth <= spec.tap_count:
         raise SpecError(f"depth {depth} out of range 0..{spec.tap_count}")
-    full = depth == spec.tap_count
     taps: dict[int, np.ndarray] = {}
     if depth == 0 and not full:
         return None, taps

@@ -265,10 +265,11 @@ def softmax_cross_entropy(scores, labels):
     if np.any(y < 0) or np.any(y >= k):
         raise ShapeError(f"label out of range [0, {k}) in {y}")
     z = s2 - s2.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=1))
-    losses = logsum - z[np.arange(n), y]
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    losses = np.log(total[:, 0]) - z[np.arange(n), y]
     loss = float(losses.mean())
-    d = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    d = e / total
     d[np.arange(n), y] -= 1.0
     d /= n
     return loss, (d[0] if single else d)

@@ -67,10 +67,6 @@ class SplitPlan:
         if flat != list(range(1, len(flat) + 1)):
             raise SpecError(f"split plan must cover taps 1..L exactly once: {self.parts}")
 
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
 
 def make_split_plan(tap_count: int, k: int) -> SplitPlan:
     """Contiguous near-equal parts; the remainder goes to the earliest parts."""
@@ -130,13 +126,13 @@ def fit(step, n: int, cfg: TrainConfig, rng: np.random.Generator, val_loss,
     epoch ``val_loss()``, unless it is None, drives early stopping after
     ``cfg.patience`` epochs without improvement. A non-finite batch loss
     raises ``TrainingDiverged`` naming ``label``, and no training rows a
-    ``LayerlensError``. Returns the per-epoch mean train losses and the val
-    losses.
+    ``LayerlensError``, even with zero epochs. Returns the per-epoch mean
+    train losses and the val losses.
 
     Clipping caps the one-step blow-up (then dead relus) that the plain
     update is prone to on deeper spans.
     """
-    if n == 0 and cfg.epochs > 0:
+    if n == 0:
         raise LayerlensError(f"no training rows for {label}")
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -200,8 +196,10 @@ def _train_span(
     cfg: TrainConfig,
     rng: np.random.Generator,
     stage_name: str,
-) -> StageReport:
-    """Minibatch SGD over layers lo..hi (and the head); mutates params/head in place."""
+) -> tuple[StageReport, LabelledSet, LabelledSet | None]:
+    """Minibatch SGD over layers lo..hi (and the head); mutates params/head in place.
+    Returns the report and the span's outputs on ``train`` and ``val``, from
+    the pass that measures the stage's accuracies."""
     report = StageReport(stage_name)
     val = _nonempty(val)
     # backpropagation ends at the lowest layer with parameters, whose input
@@ -238,21 +236,22 @@ def _train_span(
         return loss, arrays, grads
 
     def loss_acc(data: LabelledSet):
+        """Mean loss, accuracy and the span's outputs on ``data``."""
         def batch(xb, yb):
-            s = scores(net.run_span(spec, params, xb, lo, hi))
+            out = net.run_span(spec, params, xb, lo, hi)
+            s = scores(out)
             loss, _ = nm.softmax_cross_entropy(s, yb)
-            return np.array([loss * len(xb)]), s.argmax(axis=1) == yb
-        losses, hits = map_batches(batch, cfg.batch_size, data.x, data.y)
-        return sum(losses.tolist()) / len(data.x), int(hits.sum()) / len(data.x)
+            return np.array([loss * len(xb)]), s.argmax(axis=1) == yb, out
+        losses, hits, out = map_batches(batch, cfg.batch_size, data.x, data.y)
+        return (sum(losses.tolist()) / len(data.x), int(hits.sum()) / len(data.x),
+                LabelledSet(out, data.y))
 
     report.train_losses, report.val_losses = fit(
         step, len(train.x), cfg, rng, None if val is None else (lambda: loss_acc(val)[0]),
         f"stage '{stage_name}'")
-    if cfg.epochs > 0:
-        _, report.train_acc = loss_acc(train)
-        if val is not None:
-            _, report.val_acc = loss_acc(val)
-    return report
+    _, report.train_acc, train_out = loss_acc(train)
+    _, report.val_acc, val_out = (None, None, None) if val is None else loss_acc(val)
+    return report, train_out, val_out
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def train_e2e(
     t0 = time.perf_counter()
     params = net.init_params(spec, derive_seed(config.seed, "init"))
     rng = make_rng(derive_seed(config.seed, "order:e2e"))
-    stage = _train_span(
+    stage, _, _ = _train_span(
         spec, params, 0, len(spec.layers) - 1, None, train, val, config, rng, "e2e")
     params.provenance = net.Provenance("E2E", (), config.seed)
     report = TrainReport([stage], None, time.perf_counter() - t0, params.provenance)
@@ -328,26 +327,19 @@ def train_cascade(
         lo, hi = _stage_span(spec, part)
         head = net.init_aux_head(spec, part[-1], derive_seed(config.seed, f"head:{s_idx}"))
         rng = make_rng(derive_seed(config.seed, f"order:stage{s_idx}"))
-        stages.append(_train_span(
+        # this stage's output activations are the next stage's cached inputs
+        stage, cur_train, cur_val = _train_span(
             spec, params, lo, hi, head, cur_train, cur_val, config, rng,
-            f"cl_stage{s_idx + 1}_taps{part[0]}-{part[-1]}"))
+            f"cl_stage{s_idx + 1}_taps{part[0]}-{part[-1]}")
+        stages.append(stage)
         for i in range(lo, hi + 1):
             params.frozen[i] = True
-
-        # this stage's output activations are the next stage's cached inputs
-        def advance(data: LabelledSet | None) -> LabelledSet | None:
-            if data is None:
-                return None
-            (acts,) = map_batches(lambda xb: (net.run_span(spec, params, xb, lo, hi),),
-                                  config.batch_size, data.x)
-            return LabelledSet(acts, data.y)
-        cur_train, cur_val = advance(cur_train), advance(cur_val)
 
     # classifier tail (everything after the last tap) on frozen features
     rng = make_rng(derive_seed(config.seed, "order:classifier"))
     stages.append(_train_span(
         spec, params, spec.tap_layers[-1] + 1, len(spec.layers) - 1, None,
-        cur_train, cur_val, config, rng, "cl_classifier"))
+        cur_train, cur_val, config, rng, "cl_classifier")[0])
 
     params.provenance = net.Provenance(
         "CL", tuple(len(p) for p in plan.parts), config.seed)
@@ -371,7 +363,7 @@ def train_probes(
     taps = range(1, spec.tap_count + 1)
 
     def pooled(xb):
-        _, acts = net.forward_with_taps(spec, params, xb)
+        _, acts = net.forward_with_taps(spec, params, xb, depth=spec.tap_count)
         return tuple(acts[t].mean(axis=(2, 3)) for t in taps)
 
     val = _nonempty(val)

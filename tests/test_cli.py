@@ -110,12 +110,39 @@ def test_config_flag_overrides_win(tmp_path):
     ({"explain": {"taps": [7]}}, "1..6"),
     ({"train": {"k": 7}}, "1..6"),
     ({"detect": {"head_seeds": 0}}, "detect.head_seeds"),
+    ({"granulometry": {"max_size": 0}}, "granulometry.max_size"),
+    ({"explain": {"lime": {"n_samples": 0}}}, "explain.lime.n_samples"),
+    ({"model": {"kernel": 0}}, "model.kernel"),
+    ({"model": {"widths": [8, 8, 0, 16, 32, 32]}}, "model.widths"),
+    ({"train": {"e2e": {"batch_size": 0}}}, "train.e2e"),
+    ({"train": {"cascade": {"epochs": -1}}}, "train.cascade"),
+    ({"train": {"probe": {"lr": 0}}}, "train.probe"),
+    ({"detect": {"train": {"momentum": -0.5}}}, "detect.train"),
 ])
 def test_config_semantic_errors(tmp_path, section, error):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(section))
     with pytest.raises(ConfigError, match=re.escape(error)):
         load_config(path)
+
+
+def test_trainer_sections_checked_before_training(tmp_path, monkeypatch, capsys):
+    from layerlens import training as tr
+
+    assert main(["--config", str(make_config(tmp_path)), "generate"]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("trained before the config check")
+    monkeypatch.setattr(tr, "train_e2e", never)
+    monkeypatch.setattr(tr, "cache_frozen_features", never)
+    capsys.readouterr()
+    cfg_path = make_config(tmp_path, train={"probe": {"lr": 0}})
+    assert main(["--config", str(cfg_path), "train", "--scheme", "e2e"]) == 2
+    assert capsys.readouterr().err.startswith("config error: train.probe: lr, batch_size")
+    cfg_path = make_config(tmp_path, detect={"train": {"lr": 0}})
+    weights = str(tmp_path / "run" / "weights_e2e.llw")
+    assert main(["--config", str(cfg_path), "detect", "--weights", weights]) == 2
+    assert capsys.readouterr().err.startswith("config error: detect.train: lr, batch_size")
 
 
 def test_negative_jobs_flag_exit_2(tmp_path, capsys):
@@ -157,6 +184,47 @@ def test_train_report_schema(pipeline):
     assert {"loss", "stage_acc", "probe", "final"} <= records
     probe_rows = [r for r in rows if r[0] == "probe"]
     assert len(probe_rows) == 6  # one per tap
+
+
+def test_final_row_is_last_stage_accuracy(pipeline):
+    """The final row repeats the accuracies of the stage that trained the
+    whole model: e2e, or the cascade's classifier."""
+    _, out = pipeline
+    for report, last_stage in (("e2e", "e2e"), ("cl_k6", "cl_classifier")):
+        _, _, rows = read_csv(out / f"train_report_{report}.csv")
+        last = [r for r in rows if r[0] == "stage_acc"][-1]
+        [final] = [r for r in rows if r[0] == "final"]
+        assert last[1] == last_stage
+        assert final[3:] == last[3:] and final[3] != "" and final[4] != ""
+
+
+def test_train_forwards_taps_only_in_probes(tmp_path, monkeypatch):
+    """Stage accuracies come from the training passes: the only full-network
+    forwards of ``train`` are the probes' taps-only ones."""
+    from layerlens import training as tr
+
+    cfg_path = make_config(tmp_path)
+    assert main(["--config", str(cfg_path), "generate"]) == 0
+    forward, probes = net.forward_with_taps, tr.train_probes
+    calls, in_probes = [], []
+
+    def counted(spec, params, batch, depth=None):
+        calls.append((bool(in_probes), depth))
+        return forward(spec, params, batch, depth)
+
+    def probing(*args, **kwargs):
+        in_probes.append(True)
+        try:
+            return probes(*args, **kwargs)
+        finally:
+            in_probes.pop()
+    monkeypatch.setattr(net, "forward_with_taps", counted)
+    monkeypatch.setattr(tr, "train_probes", probing)
+    for scheme in ("e2e", "cl"):
+        calls.clear()
+        assert main(["--config", str(cfg_path), "train", "--scheme", scheme]) == 0
+        # one batch of the 24 train and one of the 12 val rows at probe batch 64
+        assert calls == [(True, 6), (True, 6)]
 
 
 def test_explain_outputs_and_equivalence(pipeline):
@@ -344,6 +412,14 @@ def test_empty_train_split_exit_1(tmp_path, capsys):
     assert main(["--config", str(cfg_path), "train", "--scheme", "e2e"]) == 1
     err = capsys.readouterr().err
     assert err == "error: no training rows for stage 'e2e'\n"
+    # zero epochs train nothing, but the stage accuracies still need rows
+    cfg_path = make_config(tmp_path, dataset={
+        "n_images": 12, "image_edge": 32, "class_count": 3, "noise": 0.2,
+        "split_fractions": [0.0, 0.5, 0.5]}, train={"e2e": {"epochs": 0},
+                                                    "cascade": {"epochs": 0}})
+    for scheme, stage in (("e2e", "e2e"), ("cl", "cl_stage1_taps1-1")):
+        assert main(["--config", str(cfg_path), "train", "--scheme", scheme]) == 1
+        assert capsys.readouterr().err == f"error: no training rows for stage '{stage}'\n"
 
 
 def test_detect_empty_train_split_exit_1(pipeline, tmp_path, monkeypatch, capsys):
@@ -585,6 +661,27 @@ def test_jobs_capped_at_work_items(pipeline, tmp_path, monkeypatch):
     assert cli._pool_map(lambda v: v + 1, [], 8) == []
     assert cli._pool_map(lambda v: v + 1, [1], 8) == [2]
     assert requested == [n_test]
+
+
+@pytest.mark.parametrize("verb, flags, error", [
+    ("explain", ["--taps", "abc"], "--taps: expected comma-separated integers, got 'abc'"),
+    ("granulometry", ["--taps", "2,x"], "--taps: expected comma-separated integers"),
+    ("explain", ["--taps", "9"], "--taps: tap 9 out of range 1..6"),
+    ("granulometry", ["--taps", "2,9"], "--taps: tap 9 out of range 1..6"),
+    ("explain", ["--taps", "0", "--methods", "saliency"], "--taps: tap 0 out of range 1..6"),
+], ids=["explain-abc", "granulometry-2,x", "explain-9", "granulometry-2,9", "explain-0"])
+def test_bad_taps_flag_exit_2(pipeline, monkeypatch, capsys, verb, flags, error):
+    """``--taps`` follows the rule of the config's ``explain.taps``."""
+    cfg_path, out = pipeline
+
+    def never(*args, **kwargs):
+        raise AssertionError("maps computed for a bad --taps")
+    monkeypatch.setattr(cli, "_image_maps", never)
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), verb,
+                 "--weights", str(out / "weights_e2e.llw"), *flags]) == 2
+    assert error in capsys.readouterr().err
+    assert not list(out.rglob("*_tap0.pgm"))
 
 
 def test_explain_unknown_method_exit_2(pipeline, capsys):

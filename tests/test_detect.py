@@ -302,6 +302,37 @@ def test_map_fixture_equals_per_threshold_average():
     assert report["mAP.5"] == pytest.approx(per_threshold[0], abs=1e-12)
 
 
+def test_map_evaluate_equals_per_threshold_class_means():
+    """Every mAP is the class mean of ``average_precision`` at its threshold;
+    the schedule figure is the mean over the ten thresholds."""
+    rng = make_rng(21)
+    ds = dt.DetectionSet()
+    for img in range(12):
+        c = img % 3
+        x, y = rng.integers(0, 16, 2)
+        gt_box = (float(x), float(y), 10.0, 10.0)
+        dets = [dt.Detection((float(x) + float(rng.uniform(0, 5)), float(y), 10.0, 10.0),
+                             int(rng.integers(0, 3)) if k else c, float(rng.random()))
+                for k in range(3)]
+        ds.add_image(img, dets, [(c, gt_box)])
+    report = dt.map_evaluate(ds)
+
+    def class_mean(threshold):
+        aps = []
+        for c in range(3):
+            gts = [(img, box) for img, gg in ds.ground_truth.items()
+                   for gc, box in gg if gc == c]
+            dets = [(img, d.score, d.box) for img, dd in ds.detections.items()
+                    for d in dd if d.class_id == c]
+            aps.append(dt.average_precision(dets, gts, threshold))
+        return float(np.mean(aps))
+    per_threshold = [class_mean(t) for t in dt.default_schedule()]
+    assert report["mAP.5"] == class_mean(0.5)
+    assert report["mAP.75"] == class_mean(0.75)
+    assert report["mAP.5:.95:.05"] == float(np.mean(per_threshold))
+    assert 0 < report["mAP.75"] < report["mAP.5"]
+
+
 def test_map_class_without_gt_excluded():
     ds = dt.DetectionSet()
     box = (0.0, 0.0, 5.0, 5.0)

@@ -89,6 +89,20 @@ def test_tap_compositionality(tiny_net):
     assert np.array_equal(prefix, taps[2])
 
 
+def test_forward_to_last_tap_skips_class_scores():
+    """``depth=tap_count`` stops after the last tap: no class scores, and the
+    same taps, bit for bit, as the full forward."""
+    spec = net.build_six_layer_net((1, 32, 32), 3, [4, 4, 6, 6, 8, 8])
+    params = net.init_params(spec, 3)
+    x = make_rng(4).uniform(0, 1, (5, 1, 32, 32))
+    scores, taps = net.forward_with_taps(spec, params, x, depth=spec.tap_count)
+    full_scores, full_taps = net.forward_with_taps(spec, params, x)
+    assert scores is None and full_scores.shape == (5, 3)
+    assert sorted(taps) == sorted(full_taps) == [1, 2, 3, 4, 5, 6]
+    for t in taps:
+        assert np.array_equal(taps[t], full_taps[t])
+
+
 # the preset net's widths, and the narrow net of the reproducibility check
 BATCH_INVARIANCE_WIDTHS = ([8, 8, 16, 16, 32, 32], [4, 4, 6, 6, 8, 8])
 
