@@ -24,7 +24,7 @@ from . import locmetrics as lm
 from . import network as net
 from . import numerics as nm
 from . import training as tr
-from .config import METHODS, ExperimentConfig, check_taps, load_config
+from .config import METHODS, ExperimentConfig, check_k, check_taps, load_config
 from .errors import ConfigError, LayerlensError
 from .fileio import atomic_open
 from .seeding import derive_seed, make_rng
@@ -146,12 +146,12 @@ def _weights_name(scheme: str, k: int) -> str:
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
+    k = check_k("--k", args.k) if args.k is not None else cfg["train"]["k"]
     (x_tr, y_tr, _), (x_va, y_va, _) = _load_splits(cfg, "train", "val")
     train = tr.LabelledSet(x_tr, y_tr)
     val = tr.LabelledSet(x_va, y_va) if len(x_va) else None
     spec = _build_spec(cfg)
     scheme = args.scheme
-    k = args.k if args.k is not None else cfg["train"]["k"]
 
     if scheme == "e2e":
         tcfg = tr.TrainConfig(**cfg["train"]["e2e"], seed=derive_seed(cfg.seed, "train:e2e"))

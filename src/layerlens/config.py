@@ -168,6 +168,13 @@ def check_taps(where: str, taps: list[int]) -> list[int]:
     return taps
 
 
+def check_k(where: str, k: int) -> int:
+    """Cascade part count ``k`` unchanged if in 1..6, else a ``ConfigError``."""
+    if not 1 <= k <= TAP_COUNT:
+        raise ConfigError(f"{where}: must be in 1..{TAP_COUNT}, got {k}")
+    return k
+
+
 def _semantic_checks(cfg: dict) -> None:
     if len(cfg["model"]["widths"]) != TAP_COUNT:
         raise ConfigError(f"model.widths: exactly {TAP_COUNT} channel widths required")
@@ -182,9 +189,7 @@ def _semantic_checks(cfg: dict) -> None:
     for m in cfg["explain"]["methods"]:
         if m not in METHODS:
             raise ConfigError(f"explain.methods: unknown method {m!r} (use {METHODS})")
-    k = cfg["train"]["k"]
-    if not 1 <= k <= TAP_COUNT:
-        raise ConfigError(f"train.k: must be in 1..{TAP_COUNT}, got {k}")
+    check_k("train.k", cfg["train"]["k"])
     for section, trainer in [("train", "e2e"), ("train", "cascade"), ("train", "probe"),
                              ("detect", "train")]:
         try:

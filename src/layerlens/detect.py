@@ -1,10 +1,11 @@
 """Single-scale grid detector on a frozen backbone, and its evaluators.
 
-A detection head is one learnable conv layer over a chosen tap's feature
-map, standardised per channel with the train split's mean and std; a
-parameter-free adaptive average pool maps the conv output onto the
-S x S prediction grid (so the backbone and head work at any tap
-resolution >= S). Per cell each of B box slots predicts (x, y, w, h,
+A detection head is one learnable k x k conv layer (odd k, pad k // 2) over
+a chosen tap's feature map, standardised per channel with the train split's
+mean and std; a parameter-free adaptive average pool maps the conv output
+onto the S x S prediction grid (so the head works at any tap resolution >= S).
+Both are linear, so the head runs as a 1 x 1 conv on each cell's mean patch
+(``pooled_patches``). Per cell each of B box slots predicts (x, y, w, h,
 confidence) through a sigmoid squash, plus per-cell class scores.
 
 The coordinate loss is squared error on the cell-relative centre and on the
@@ -78,18 +79,6 @@ def encode_targets(annotations, S: int, image_shape: tuple[int, int]) -> YoloTar
     return YoloTarget(S, image_shape, obj, coords, class_ids, dropped)
 
 
-def target_to_grid(target: YoloTarget, B: int, class_count: int) -> np.ndarray:
-    """Render a target as a post-squash prediction grid with confidence 1."""
-    S = target.S
-    grid = np.zeros((S, S, B * 5 + class_count))
-    for j in range(B):
-        grid[:, :, j * 5:j * 5 + 4] = target.coords
-        grid[:, :, j * 5 + 4] = target.obj.astype(float)
-    rows, cols = np.nonzero(target.obj)
-    grid[rows, cols, B * 5 + target.class_ids[rows, cols]] = 1.0
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # coordinate loss
 
@@ -137,7 +126,7 @@ def yolo_coord_loss(pred: np.ndarray, target: YoloTarget):
 
 
 # ---------------------------------------------------------------------------
-# adaptive average pooling (feature resolution -> S x S grid)
+# adaptive average pooling and pooled patches (feature resolution -> S x S grid)
 
 
 def _bin_edges(n: int, bins: int) -> np.ndarray:
@@ -157,17 +146,19 @@ def adaptive_avg_pool(x: np.ndarray, out_size: int) -> np.ndarray:
     return out
 
 
-def adaptive_avg_pool_backward(d_out: np.ndarray, in_shape) -> np.ndarray:
-    n, c, h, w = in_shape
-    out_size = d_out.shape[2]
-    eh, ew = _bin_edges(h, out_size), _bin_edges(w, out_size)
-    d_x = np.zeros(in_shape)
-    for i in range(out_size):
-        for j in range(out_size):
-            area = (eh[i + 1] - eh[i]) * (ew[j + 1] - ew[j])
-            d_x[:, :, eh[i]:eh[i + 1], ew[j]:ew[j + 1]] += (
-                d_out[:, :, i, j] / area)[:, :, None, None]
-    return d_x
+def pooled_patches(z: np.ndarray, S: int, k: int) -> np.ndarray:
+    """Each grid cell's mean k x k patch, (n, c*k*k, S, S) from (n, c, h, w):
+    entry (c, a, b) is ``z`` zero-padded by k // 2, shifted by (a, b) and
+    pooled, so a 1 x 1 conv with ``kernel.reshape(out_c, -1)`` equals the
+    k x k conv (pad k // 2) pooled to S x S."""
+    n, c, h, w = z.shape
+    p = k // 2
+    padded = np.pad(z, ((0, 0), (0, 0), (p, p), (p, p)))
+    q = np.empty((n, c, k, k, S, S))
+    for a in range(k):
+        for b in range(k):
+            q[:, :, a, b] = adaptive_avg_pool(padded[:, :, a:a + h, b:b + w], S)
+    return q.reshape(n, c * k * k, S, S)
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +222,23 @@ def standardise(head: DetectHead, feats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_pool(head: DetectHead, z: np.ndarray):
-    """Conv then adaptive pool of standardised features ``z``; returns the
-    conv output and the raw grids (n, S, S, B*5 + classes)."""
-    raw = nm.conv2d(z, head.kernel, head.bias, stride=1, pad=head.kernel.shape[2] // 2)
-    return raw, adaptive_avg_pool(raw, head.S).transpose(0, 2, 3, 1)
+def _grid(head: DetectHead, q: np.ndarray) -> np.ndarray:
+    """Raw grids (n, S, S, B*5 + classes) of pooled patches ``q``."""
+    kernel = head.kernel.reshape(head.kernel.shape[0], -1, 1, 1)
+    return nm.conv2d(q, kernel, head.bias).transpose(0, 2, 3, 1)
 
 
 def head_raw_grids(head: DetectHead, feats: np.ndarray) -> np.ndarray:
     """Raw (pre-squash) prediction grids (n, S, S, B*5 + classes) of the
     frozen features ``feats``."""
-    return _conv_pool(head, standardise(head, feats))[1]
+    return _grid(head, pooled_patches(standardise(head, feats), head.S, head.kernel.shape[2]))
 
 
-def _head_loss(head: DetectHead, z, obj, coords, class_ids,
-               lambda_coord=5.0, lambda_noobj=0.5, want_grads=True):
+def _grid_loss(head: DetectHead, grid, obj, coords, class_ids, lambda_coord, lambda_noobj):
     """Full objective: weighted coordinate loss + objectness SSE + class CE,
-    on features ``z`` already standardised by ``standardise``."""
-    n = z.shape[0]
+    of raw grids (n, S, S, out_c); returns (loss, d_grid)."""
+    n = grid.shape[0]
     B, S = head.B, head.S
-    raw, grid = _conv_pool(head, z)                            # grid: (n, S, S, out_c)
     box_raw = grid[..., :B * 5].reshape(n, S, S, B, 5)
     cls_raw = grid[..., B * 5:]
     box_sig = _sigmoid(box_raw)
@@ -274,22 +262,26 @@ def _head_loss(head: DetectHead, z, obj, coords, class_ids,
         cls_loss, d_logits = 0.0, None
 
     total = (lambda_coord * coord_loss + conf_loss + cls_loss) / n
-    if not want_grads:
-        return total, None, None
-
     d_box_sig = np.concatenate(
         [lambda_coord * d_xywh, d_conf[..., None]], axis=-1)
     d_box_raw = d_box_sig * box_sig * (1 - box_sig)
     d_cls_raw = np.zeros(cls_raw.shape)
     if m:
         d_cls_raw[obj_mask] = d_logits
-    d_grid = np.concatenate(
-        [d_box_raw.reshape(n, S, S, B * 5), d_cls_raw], axis=-1) / n
-    d_pooled = d_grid.transpose(0, 3, 1, 2)
-    d_raw = adaptive_avg_pool_backward(d_pooled, raw.shape)
+    return total, np.concatenate([d_box_raw.reshape(n, S, S, B * 5), d_cls_raw], axis=-1) / n
+
+
+def _head_loss(head: DetectHead, q, obj, coords, class_ids,
+               lambda_coord=5.0, lambda_noobj=0.5, want_grads=True):
+    """The objective on pooled patches ``q`` of standardised features; returns
+    (loss, d_kernel, d_bias), the gradients None without ``want_grads``."""
+    total, d_grid = _grid_loss(head, _grid(head, q), obj, coords, class_ids,
+                               lambda_coord, lambda_noobj)
+    if not want_grads:
+        return total, None, None
     d_kernel, d_bias = nm.conv2d_param_grads(
-        z, head.kernel.shape, d_raw, stride=1, pad=head.kernel.shape[2] // 2)
-    return total, d_kernel, d_bias
+        q, (head.kernel.shape[0], q.shape[1], 1, 1), d_grid.transpose(0, 3, 1, 2))
+    return total, d_kernel.reshape(head.kernel.shape), d_bias
 
 
 def encode_batch(annotations_per_image, S, image_shape):
@@ -326,21 +318,21 @@ def train_detection_head(
         obj, coords, class_ids, dropped = encode_batch(annotations_per_image, S, (ih, iw))
     head = init_detect_head(spec, tap, S, B, derive_seed(config.seed, f"detect-head:{tap}"))
     head.feat_mean, head.feat_std = fit_feature_stats(feats)
-    z = standardise(head, feats)
+    q = pooled_patches(standardise(head, feats), S, head.kernel.shape[2])
     report = HeadReport(dropped_objects=dropped)
 
     def step(idx):
-        loss, d_k, d_b = _head_loss(head, z[idx], obj[idx], coords[idx], class_ids[idx],
+        loss, d_k, d_b = _head_loss(head, q[idx], obj[idx], coords[idx], class_ids[idx],
                                     lambda_coord, lambda_noobj)
         return loss, [head.kernel, head.bias], [d_k, d_b]
 
     val_loss = None
     if val_feats is not None and len(val_feats):
         val_obj, val_coords, val_cls, _ = encode_batch(val_annotations, S, (ih, iw))
-        val_z = standardise(head, val_feats)
+        val_q = pooled_patches(standardise(head, val_feats), S, head.kernel.shape[2])
 
         def val_loss():
-            return _head_loss(head, val_z, val_obj, val_coords, val_cls,
+            return _head_loss(head, val_q, val_obj, val_coords, val_cls,
                               lambda_coord, lambda_noobj, want_grads=False)[0]
 
     rng = make_rng(derive_seed(config.seed, f"order:detect{tap}"))
@@ -374,6 +366,8 @@ def load_head(path) -> DetectHead:
         raise WeightsError(
             f"head file arrays {kernel.shape}, {bias.shape} do not fit B={B}, "
             f"classes={class_count}")
+    if kernel.shape[2] != kernel.shape[3] or kernel.shape[2] % 2 == 0:
+        raise WeightsError(f"head file kernel {kernel.shape[2:]} is not square with an odd edge")
     c = kernel.shape[1]
     if feat_mean.shape != (c,) or feat_std.shape != (c,):
         raise WeightsError(
@@ -433,7 +427,6 @@ def decode_predictions(raw_grid: np.ndarray, B: int, conf_threshold: float,
                        image_shape: tuple[int, int]) -> list[Detection]:
     """Decode one raw head output grid: squash boxes/confidence with a sigmoid
     and classes with softmax, then decode."""
-    S, _, width = raw_grid.shape
     box_part = _sigmoid(raw_grid[..., :B * 5])
     cls_part = nm.softmax(raw_grid[..., B * 5:])
     return decode_grid(np.concatenate([box_part, cls_part], axis=-1),
@@ -486,8 +479,12 @@ def _match_class(dets, gts, iou_threshold):
     """Greedy one-to-one matching of score-ranked detections to ground truth.
 
     dets: list of (image_id, score, box); gts: list of (image_id, box).
-    Returns (tp flags per ranked detection, matched IOUs, gt count).
+    Returns the AP (area under the all-point interpolated precision-recall
+    curve: precision envelope, summed over recall increments; 0 without
+    detections) and the matched IOUs.
     """
+    if not dets:
+        return 0.0, []
     order = sorted(range(len(dets)), key=lambda i: -dets[i][1])
     gt_by_image: dict = {}
     for gi, (img, box) in enumerate(gts):
@@ -508,29 +505,25 @@ def _match_class(dets, gts, iou_threshold):
             used.add(best_gi)
             tp[rank] = True
             matched_ious.append(best_iou)
-    return tp, matched_ious, len(gts)
-
-
-def average_precision(detections, ground_truth, iou_threshold: float) -> float:
-    """AP for one class.
-
-    detections: list of (image_id, score, box); ground_truth: list of
-    (image_id, box). Area under the all-point interpolated precision-recall
-    curve (precision envelope, summed over recall increments).
-    """
-    if not ground_truth:
-        raise ValueError("average precision undefined without ground truth")
-    if not detections:
-        return 0.0
-    tp, _, n_gt = _match_class(detections, ground_truth, iou_threshold)
     tp_cum = np.cumsum(tp)
     fp_cum = np.cumsum(~tp)
-    recall = tp_cum / n_gt
+    recall = tp_cum / len(gts)
     precision = tp_cum / (tp_cum + fp_cum)
     # monotone envelope from the right, then integrate over recall steps
     env = np.maximum.accumulate(precision[::-1])[::-1]
     recall_prev = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - recall_prev) * env).sum())
+    return float(((recall - recall_prev) * env).sum()), matched_ious
+
+
+def average_precision(detections, ground_truth, iou_threshold: float) -> float:
+    """AP for one class (see ``_match_class``).
+
+    detections: list of (image_id, score, box); ground_truth: list of
+    (image_id, box).
+    """
+    if not ground_truth:
+        raise ValueError("average precision undefined without ground truth")
+    return _match_class(detections, ground_truth, iou_threshold)[0]
 
 
 def default_schedule() -> list[float]:
@@ -541,8 +534,8 @@ def default_schedule() -> list[float]:
 def map_evaluate(detection_set: DetectionSet) -> dict[str, float]:
     """Class-averaged AP at 0.5 and 0.75, its mean over ``default_schedule()``,
     and the mean matched-box IOU at 0.5. Classes without ground truth are
-    excluded. The AP at each threshold is computed once: the schedule holds
-    0.5 and 0.75."""
+    excluded. Each class is matched once per threshold: the schedule holds
+    0.5 and 0.75, and the match at 0.5 also gives the matched IOUs."""
     per_class: dict[int, tuple[list, list]] = {}
     for img, gts in detection_set.ground_truth.items():
         for c, box in gts:
@@ -552,15 +545,15 @@ def map_evaluate(detection_set: DetectionSet) -> dict[str, float]:
             if d.class_id in per_class:
                 per_class[d.class_id][0].append((img, d.score, d.box))
 
-    def mean_ap(threshold):
-        aps = [average_precision(d, g, threshold) for d, g in per_class.values()]
-        return float(np.mean(aps)) if aps else 0.0
-
-    by_threshold = {t: mean_ap(t) for t in default_schedule()}
+    aps = {t: [] for t in default_schedule()}
     all_ious = []
     for dets, gts in per_class.values():
-        _, matched, _ = _match_class(dets, gts, 0.5)
-        all_ious.extend(matched)
+        for t in aps:
+            ap, matched = _match_class(dets, gts, t)
+            aps[t].append(ap)
+            if t == 0.5:
+                all_ious.extend(matched)
+    by_threshold = {t: float(np.mean(a)) if a else 0.0 for t, a in aps.items()}
     return {
         "mAP.5": by_threshold[0.5],
         "mAP.75": by_threshold[0.75],

@@ -684,6 +684,20 @@ def test_bad_taps_flag_exit_2(pipeline, monkeypatch, capsys, verb, flags, error)
     assert not list(out.rglob("*_tap0.pgm"))
 
 
+@pytest.mark.parametrize("k", [9, 0])
+def test_bad_k_flag_exit_2(pipeline, monkeypatch, capsys, k):
+    """``train --k`` follows the rule of the config's ``train.k``, and is
+    checked before the splits load."""
+    cfg_path, out = pipeline
+
+    def never(*args, **kwargs):
+        raise AssertionError("splits loaded for a bad --k")
+    monkeypatch.setattr(cli, "_load_splits", never)
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "train", "--scheme", "cl", "--k", str(k)]) == 2
+    assert f"--k: must be in 1..6, got {k}" in capsys.readouterr().err
+
+
 def test_explain_unknown_method_exit_2(pipeline, capsys):
     cfg_path, out = pipeline
     assert main(["--config", str(cfg_path), "explain", "--weights", str(out / "weights_e2e.llw"),

@@ -47,6 +47,18 @@ def test_encode_collision_drops_later_with_warning():
     assert target.class_ids[0, 0] == 0  # the first object won the cell
 
 
+def target_to_grid(target, B, class_count):
+    """Render a target as a post-squash prediction grid with confidence 1."""
+    S = target.S
+    grid = np.zeros((S, S, B * 5 + class_count))
+    for j in range(B):
+        grid[:, :, j * 5:j * 5 + 4] = target.coords
+        grid[:, :, j * 5 + 4] = target.obj.astype(float)
+    rows, cols = np.nonzero(target.obj)
+    grid[rows, cols, B * 5 + target.class_ids[rows, cols]] = 1.0
+    return grid
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_encode_decode_round_trip(seed):
     import warnings
@@ -63,7 +75,7 @@ def test_encode_decode_round_trip(seed):
         target = dt.encode_targets(boxes, S=4, image_shape=(ih, iw))
     if target.dropped:
         return  # collisions legitimately drop objects; round trip not applicable
-    grid = dt.target_to_grid(target, B=2, class_count=3)
+    grid = target_to_grid(target, B=2, class_count=3)
     dets = dt.decode_grid(grid, B=2, conf_threshold=0.5, image_shape=(ih, iw))
     # B identical slots decode to B identical detections per object
     assert len(dets) == 2 * len(boxes)
@@ -158,7 +170,7 @@ def test_coord_loss_gradient_matches_finite_differences(seed):
 
 
 # ---------------------------------------------------------------------------
-# adaptive pooling
+# adaptive pooling and the pooled-patch head
 
 
 def test_adaptive_pool_exact_division():
@@ -167,17 +179,56 @@ def test_adaptive_pool_exact_division():
     assert out[0, 0, 0, 0] == pytest.approx(np.mean([0, 1, 4, 5]))
 
 
-def test_adaptive_pool_backward_matches_finite_differences():
-    rng = make_rng(0)
-    x = rng.standard_normal((1, 2, 7, 7))
-    up = rng.standard_normal((1, 2, 3, 3))
+def _conv_pool_reference(z, kernel, bias, S):
+    """Reference head: the k x k conv at full resolution, then the adaptive
+    pool. Returns the raw grids (n, S, S, out_c) and a function from their
+    gradient to the kernel and bias gradients, through the pool's backward,
+    which spreads each cell's gradient evenly over its bin."""
+    pad = kernel.shape[2] // 2
+    raw = nm.conv2d(z, kernel, bias, stride=1, pad=pad)
+    n, c, h, w = raw.shape
+    eh, ew = (np.arange(S + 1) * h) // S, (np.arange(S + 1) * w) // S
 
-    def f(xv):
-        return float((dt.adaptive_avg_pool(xv, 3) * up).sum())
+    def backward(d_grid):
+        d_raw = np.zeros(raw.shape)
+        for i in range(S):
+            for j in range(S):
+                area = (eh[i + 1] - eh[i]) * (ew[j + 1] - ew[j])
+                d_raw[:, :, eh[i]:eh[i + 1], ew[j]:ew[j + 1]] += (
+                    d_grid[:, i, j, :] / area)[:, :, None, None]
+        return nm.conv2d_param_grads(z, kernel.shape, d_raw, stride=1, pad=pad)
+    return dt.adaptive_avg_pool(raw, S).transpose(0, 2, 3, 1), backward
 
-    d = dt.adaptive_avg_pool_backward(up, x.shape)
-    fd = nm.finite_diff_grad(f, x, 1e-6)
-    assert np.abs(d - fd).max() < 1e-6
+
+def test_pooled_patch_head_matches_conv_pool_oracle():
+    """The head on pooled patches gives the grids, loss and kernel and bias
+    gradients of the k x k conv followed by the adaptive pool: at the preset
+    net's tap 1, 4 and 6 shapes with S 4, and on uneven bins."""
+    rng = make_rng(31)
+    B, classes = 2, 3
+    out_c = B * 5 + classes
+    for c, h, S in [(8, 32, 4), (16, 16, 4), (32, 8, 4), (8, 32, 7), (16, 16, 5), (32, 8, 3)]:
+        n = 5
+        feats = rng.standard_normal((n, c, h, h)) * 2.0 + 0.5
+        head = dt.DetectHead(1, S, B, classes, rng.standard_normal((out_c, c, 3, 3)) * 0.1,
+                             rng.standard_normal(out_c) * 0.1, rng.standard_normal(c),
+                             rng.uniform(0.5, 2.0, c))
+        z = dt.standardise(head, feats)
+        q = dt.pooled_patches(z, S, 3)
+        assert q.shape == (n, c * 9, S, S)
+        anns = [[(GtBox(int(rng.integers(0, h * 2)), int(rng.integers(0, h * 2)), 6, 6),
+                  int(rng.integers(classes)))] for _ in range(n)]
+        obj, coords, cls, _ = dt.encode_batch(anns, S, (h * 4, h * 4))
+
+        loss, d_k, d_b = dt._head_loss(head, q, obj, coords, cls)
+        grid = dt.head_raw_grids(head, feats)
+        ref_grid, ref_backward = _conv_pool_reference(z, head.kernel, head.bias, S)
+        ref_loss, d_grid = dt._grid_loss(head, ref_grid, obj, coords, cls, 5.0, 0.5)
+        ref_k, ref_b = ref_backward(d_grid)
+        for got, want in [(grid, ref_grid), (d_k, ref_k), (d_b, ref_b)]:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +384,26 @@ def test_map_evaluate_equals_per_threshold_class_means():
     assert 0 < report["mAP.75"] < report["mAP.5"]
 
 
+def test_map_evaluate_matches_each_class_once_per_threshold(monkeypatch):
+    """Ten greedy matches per class: the match at 0.5 gives both the AP and
+    the matched IOUs behind mIOU."""
+    calls = []
+    match = dt._match_class
+
+    def counting(dets, gts, iou_threshold):
+        calls.append(iou_threshold)
+        return match(dets, gts, iou_threshold)
+    monkeypatch.setattr(dt, "_match_class", counting)
+    ds = dt.DetectionSet()
+    for img in range(6):
+        box = (float(img), 2.0, 8.0, 8.0)
+        ds.add_image(img, [dt.Detection((box[0] + 1.0, 2.0, 8.0, 8.0), img % 3, 0.5)],
+                     [(img % 3, box)])
+    report = dt.map_evaluate(ds)
+    assert sorted(calls) == sorted(dt.default_schedule() * 3)
+    assert report["mIOU"] == pytest.approx(56 / 72)
+
+
 def test_map_class_without_gt_excluded():
     ds = dt.DetectionSet()
     box = (0.0, 0.0, 5.0, 5.0)
@@ -380,12 +451,13 @@ def test_head_gradient_matches_finite_differences(detect_setup):
     feats = cache_frozen_features(spec, params, images[:4], tap=2)
     obj, coords, cls, _ = dt.encode_batch(anns[:4], 4, (16, 16))
     head = dt.init_detect_head(spec, 2, 4, 2, seed=5)
-    loss, d_k, d_b = dt._head_loss(head, feats, obj, coords, cls)
+    loss, d_k, d_b = dt._head_loss(head, dt.pooled_patches(feats, 4, 3), obj, coords, cls)
 
     def f_k(kv):
         h2 = dt.DetectHead(2, 4, 2, 2, kv.reshape(head.kernel.shape), head.bias,
                            np.zeros(4), np.ones(4))
-        return dt._head_loss(h2, feats, obj, coords, cls, want_grads=False)[0]
+        return dt._head_loss(h2, dt.pooled_patches(feats, 4, 3), obj, coords, cls,
+                             want_grads=False)[0]
 
     probe = make_rng(1).integers(0, head.kernel.size, 12)
     for idx in probe:
@@ -491,13 +563,18 @@ def test_head_file_trailing_bytes_rejected(tmp_path):
 
 
 def test_head_file_kernel_shape_checked(tmp_path):
+    """A rank-1 kernel does not fit; a kernel that is not square with an odd
+    edge would not keep the feature map's size under pad k // 2."""
     path = tmp_path / "h.llh"
-    rank1 = b"LLH2" + struct.pack("<4H", 3, 4, 2, 3)
-    rank1 += net.pack_array(np.ones(13)) + net.pack_array(np.zeros(13))
-    rank1 += net.pack_array(np.zeros(1)) + net.pack_array(np.ones(1))
-    reseal(path, rank1)
-    with pytest.raises(WeightsError, match="do not fit"):
-        dt.load_head(path)
+    for shape, error in [((13,), "do not fit"),
+                         ((13, 1, 3, 5), "not square with an odd edge"),
+                         ((13, 1, 2, 2), "not square with an odd edge")]:
+        raw = b"LLH2" + struct.pack("<4H", 3, 4, 2, 3)
+        raw += net.pack_array(np.ones(shape)) + net.pack_array(np.zeros(13))
+        raw += net.pack_array(np.zeros(1)) + net.pack_array(np.ones(1))
+        reseal(path, raw)
+        with pytest.raises(WeightsError, match=error):
+            dt.load_head(path)
 
 
 def test_head_file_forged_array_header(tmp_path):
