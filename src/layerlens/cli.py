@@ -155,23 +155,23 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
     if scheme == "e2e":
         tcfg = tr.TrainConfig(**cfg["train"]["e2e"], seed=derive_seed(cfg.seed, "train:e2e"))
-        params, report = tr.train_e2e(spec, train, tcfg, val)
+        params, stages = tr.train_e2e(spec, train, tcfg, val)
     else:
         tcfg = tr.TrainConfig(**cfg["train"]["cascade"],
                               seed=derive_seed(cfg.seed, f"train:cl{k}"))
         plan = tr.make_split_plan(spec.tap_count, k)
-        params, report = tr.train_cascade(spec, train, tcfg, plan, val)
+        params, stages = tr.train_cascade(spec, train, tcfg, plan, val)
 
     pcfg = tr.TrainConfig(**cfg["train"]["probe"], seed=derive_seed(cfg.seed, f"probe:{scheme}"))
     _, probe_acc = tr.train_probes(spec, params, train, pcfg, val)
     # the last stage (e2e, or cl_classifier) trained the whole model
-    train_acc, val_acc = report.stages[-1].train_acc, report.stages[-1].val_acc
+    train_acc, val_acc = stages[-1].train_acc, stages[-1].val_acc
 
     weights_path = cfg.out_dir / _weights_name(scheme, k)
     net.save_weights(spec, params, weights_path)
 
     rows = []
-    for stage in report.stages:
+    for stage in stages:
         for epoch, loss in enumerate(stage.train_losses):
             v = stage.val_losses[epoch] if epoch < len(stage.val_losses) else None
             rows.append(("loss", stage.name, epoch, loss, v))
@@ -368,14 +368,15 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     train_feats = tr.cache_frozen_features(spec, params, x_tr, tap)
     val_feats = tr.cache_frozen_features(spec, params, x_va, tap) if len(x_va) else None
     test_feats = tr.cache_frozen_features(spec, params, x_te, tap)
+    configs = [tr.TrainConfig(**dcfg["train"], seed=derive_seed(cfg.seed, f"detect:{tap}:{i}"))
+               for i in range(head_seeds)]
+    trained = dt.train_detection_head(
+        spec, tap, train_feats, _annotations_by_image(anns_tr), S, B, configs,
+        val_feats=val_feats,
+        val_annotations=_annotations_by_image(anns_va) if len(x_va) else None,
+        lambda_coord=dcfg["lambda_coord"], lambda_noobj=dcfg["lambda_noobj"])
     reports, first_detections = [], None
-    for i in range(head_seeds):
-        tcfg = tr.TrainConfig(**dcfg["train"], seed=derive_seed(cfg.seed, f"detect:{tap}:{i}"))
-        head, _rep = dt.train_detection_head(
-            spec, tap, train_feats, _annotations_by_image(anns_tr), S, B, tcfg,
-            val_feats=val_feats,
-            val_annotations=_annotations_by_image(anns_va) if len(x_va) else None,
-            lambda_coord=dcfg["lambda_coord"], lambda_noobj=dcfg["lambda_noobj"])
+    for i, (head, _rep) in enumerate(trained):
         dt.save_head(head, out_root / f"head_seed{i}.llh")
 
         raw = dt.head_raw_grids(head, test_feats)

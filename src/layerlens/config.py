@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -24,14 +24,13 @@ PRESETS = {
     "preset-detect": "detect.json",
 }
 
-_TRAIN_FIELDS = {
-    "epochs": (int, 6),
-    "lr": (float, 0.03),
-    "momentum": (float, 0.9),
-    "batch_size": (int, 32),
-    "patience": (int, 3),
-    "clip_norm": (float, 5.0),
-}
+
+def _trainer_section(**defaults) -> dict:
+    """Schema of a trainer section: ``TrainConfig``'s fields but ``seed``, with
+    ``TrainConfig``'s defaults except those ``defaults`` overrides."""
+    return {f.name: (type(f.default), defaults.get(f.name, f.default))
+            for f in fields(TrainConfig) if f.name != "seed"}
+
 
 SCHEMA = {
     "seed": (int, 7),
@@ -54,16 +53,9 @@ SCHEMA = {
     },
     "train": {
         "k": (int, 6),
-        "e2e": dict(_TRAIN_FIELDS),
-        "cascade": dict(_TRAIN_FIELDS),
-        "probe": {
-            "epochs": (int, 10),
-            "lr": (float, 0.1),
-            "momentum": (float, 0.9),
-            "batch_size": (int, 64),
-            "patience": (int, 3),
-            "clip_norm": (float, 5.0),
-        },
+        "e2e": _trainer_section(),
+        "cascade": _trainer_section(),
+        "probe": _trainer_section(epochs=10, lr=0.1, batch_size=64),
     },
     "explain": {
         "methods": ("str_list", ["grad_cam"]),
@@ -87,14 +79,7 @@ SCHEMA = {
         "head_seeds": (int, 1),
         "lambda_coord": (float, 5.0),
         "lambda_noobj": (float, 0.5),
-        "train": {
-            "epochs": (int, 12),
-            "lr": (float, 0.08),
-            "momentum": (float, 0.9),
-            "batch_size": (int, 32),
-            "patience": (int, 4),
-            "clip_norm": (float, 5.0),
-        },
+        "train": _trainer_section(epochs=12, lr=0.08, patience=4),
     },
     "granulometry": {
         "max_size": (int, 8),
@@ -175,18 +160,36 @@ def check_k(where: str, k: int) -> int:
     return k
 
 
+def _require(where: str, value, ok: bool, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{where}: must be {rule}, got {value}")
+
+
 def _semantic_checks(cfg: dict) -> None:
     if len(cfg["model"]["widths"]) != TAP_COUNT:
         raise ConfigError(f"model.widths: exactly {TAP_COUNT} channel widths required")
+    explain, lime, dcfg = cfg["explain"], cfg["explain"]["lime"], cfg["detect"]
     at_least_one = [("model.widths", w) for w in cfg["model"]["widths"]] + [
         ("model.kernel", cfg["model"]["kernel"]), ("jobs", cfg["jobs"]),
-        ("detect.head_seeds", cfg["detect"]["head_seeds"]),
-        ("explain.lime.n_samples", cfg["explain"]["lime"]["n_samples"]),
+        ("detect.head_seeds", dcfg["head_seeds"]), ("detect.B", dcfg["B"]),
+        ("explain.lime.n_samples", lime["n_samples"]), ("explain.lime.top_k", lime["top_k"]),
         ("granulometry.max_size", cfg["granulometry"]["max_size"])]
     for where, value in at_least_one:
-        if value < 1:
-            raise ConfigError(f"{where}: must be >= 1, got {value}")
-    for m in cfg["explain"]["methods"]:
+        _require(where, value, value >= 1, ">= 1")
+    for section in ("explain", "granulometry"):
+        p = cfg[section]["percentile"]
+        _require(f"{section}.percentile", p, 0 < p < 100, "in (0, 100)")
+    _require("explain.sigma", explain["sigma"], explain["sigma"] >= 0, ">= 0")
+    _require("explain.lime.ridge_lambda", lime["ridge_lambda"], lime["ridge_lambda"] > 0, "> 0")
+    _require("explain.lime.keep_prob", lime["keep_prob"], 0 < lime["keep_prob"] < 1, "in (0, 1)")
+    edge = cfg["dataset"]["image_edge"]
+    _require("explain.lime.patch_edge", lime["patch_edge"], 1 <= lime["patch_edge"] <= edge,
+             f"in 1..{edge} (dataset.image_edge)")
+    for key in ("nms_iou", "conf_threshold"):
+        _require(f"detect.{key}", dcfg[key], 0 <= dcfg[key] <= 1, "in [0, 1]")
+    for key in ("lambda_coord", "lambda_noobj"):
+        _require(f"detect.{key}", dcfg[key], dcfg[key] >= 0, ">= 0")
+    for m in explain["methods"]:
         if m not in METHODS:
             raise ConfigError(f"explain.methods: unknown method {m!r} (use {METHODS})")
     check_k("train.k", cfg["train"]["k"])
@@ -196,14 +199,8 @@ def _semantic_checks(cfg: dict) -> None:
             TrainConfig(**cfg[section][trainer])
         except SpecError as e:
             raise ConfigError(f"{section}.{trainer}: {e}") from None
-    check_taps("explain.taps", cfg["explain"]["taps"])
-    check_taps("detect.tap", [cfg["detect"]["tap"]])
-    for section in ("explain", "granulometry"):
-        p = cfg[section]["percentile"]
-        if not 0 < p < 100:
-            raise ConfigError(f"{section}.percentile: must be in (0, 100), got {p}")
-    if cfg["explain"]["sigma"] < 0:
-        raise ConfigError(f"explain.sigma: must be >= 0, got {cfg['explain']['sigma']}")
+    check_taps("explain.taps", explain["taps"])
+    check_taps("detect.tap", [dcfg["tap"]])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ over classes and over an IOU-threshold schedule.
 from __future__ import annotations
 
 import struct
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -181,8 +180,6 @@ class DetectHead:
 class HeadReport:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    dropped_objects: int = 0
 
 
 def _sigmoid(x):
@@ -285,12 +282,12 @@ def _head_loss(head: DetectHead, q, obj, coords, class_ids,
 
 
 def encode_batch(annotations_per_image, S, image_shape):
-    """Stacks per-image targets into batch arrays; returns (obj, coords, cls, dropped)."""
+    """Stacks per-image targets into batch arrays; returns (obj, coords, cls)."""
     targets = [encode_targets(a, S, image_shape) for a in annotations_per_image]
     obj = np.stack([t.obj for t in targets])
     coords = np.stack([t.coords for t in targets])
     class_ids = np.stack([t.class_ids for t in targets])
-    return obj, coords, class_ids, sum(t.dropped for t in targets)
+    return obj, coords, class_ids
 
 
 def train_detection_head(
@@ -300,46 +297,53 @@ def train_detection_head(
     annotations_per_image,
     S: int,
     B: int,
-    config: TrainConfig,
+    configs: list[TrainConfig],
     val_feats: np.ndarray | None = None,
     val_annotations=None,
     lambda_coord: float = 5.0,
     lambda_noobj: float = 0.5,
-) -> tuple[DetectHead, HeadReport]:
-    """Fit one conv head on the features a frozen backbone produced at ``tap``
-    (``cache_frozen_features``); the caller computes them once for every head
-    it trains. The head stores the channel statistics of ``feats`` and learns
-    on features standardised by them, so its step size does not depend on the
-    scale of the tap."""
-    t0 = time.perf_counter()
+) -> list[tuple[DetectHead, HeadReport]]:
+    """Fit one conv head per config (one per head seed), in order, on the
+    features a frozen backbone produced at ``tap`` (``cache_frozen_features``).
+    The targets, the channel statistics of ``feats`` and each split's pooled
+    patches do not depend on the seed, so they are built once for every head.
+    Each head stores those statistics and learns on features standardised by
+    them, so its step size does not depend on the scale of the tap."""
     ih, iw = spec.input_shape[1:]
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        obj, coords, class_ids, dropped = encode_batch(annotations_per_image, S, (ih, iw))
-    head = init_detect_head(spec, tap, S, B, derive_seed(config.seed, f"detect-head:{tap}"))
-    head.feat_mean, head.feat_std = fit_feature_stats(feats)
-    q = pooled_patches(standardise(head, feats), S, head.kernel.shape[2])
-    report = HeadReport(dropped_objects=dropped)
+        obj, coords, class_ids = encode_batch(annotations_per_image, S, (ih, iw))
+    stats = fit_feature_stats(feats)
+    heads = []
+    for config in configs:
+        head = init_detect_head(spec, tap, S, B, derive_seed(config.seed, f"detect-head:{tap}"))
+        head.feat_mean, head.feat_std = stats
+        heads.append(head)
 
-    def step(idx):
-        loss, d_k, d_b = _head_loss(head, q[idx], obj[idx], coords[idx], class_ids[idx],
-                                    lambda_coord, lambda_noobj)
-        return loss, [head.kernel, head.bias], [d_k, d_b]
+    def patches(x):
+        return pooled_patches(standardise(heads[0], x), S, heads[0].kernel.shape[2])
 
-    val_loss = None
-    if val_feats is not None and len(val_feats):
-        val_obj, val_coords, val_cls, _ = encode_batch(val_annotations, S, (ih, iw))
-        val_q = pooled_patches(standardise(head, val_feats), S, head.kernel.shape[2])
+    q = patches(feats)
+    has_val = val_feats is not None and len(val_feats)
+    if has_val:
+        val_obj, val_coords, val_cls = encode_batch(val_annotations, S, (ih, iw))
+        val_q = patches(val_feats)
+
+    def train_one(head, config):
+        def step(idx):
+            loss, d_k, d_b = _head_loss(head, q[idx], obj[idx], coords[idx], class_ids[idx],
+                                        lambda_coord, lambda_noobj)
+            return loss, [head.kernel, head.bias], [d_k, d_b]
 
         def val_loss():
             return _head_loss(head, val_q, val_obj, val_coords, val_cls,
                               lambda_coord, lambda_noobj, want_grads=False)[0]
 
-    rng = make_rng(derive_seed(config.seed, f"order:detect{tap}"))
-    report.train_losses, report.val_losses = fit(
-        step, len(feats), config, rng, val_loss, f"detection head at tap {tap}")
-    report.wall_time_s = time.perf_counter() - t0
-    return head, report
+        rng = make_rng(derive_seed(config.seed, f"order:detect{tap}"))
+        return head, HeadReport(*fit(step, len(feats), config, rng, val_loss if has_val else None,
+                                     f"detection head at tap {tap}"))
+
+    return [train_one(head, config) for head, config in zip(heads, configs)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ as re-running the full forward pass.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -89,14 +88,6 @@ class StageReport:
     val_losses: list[float] = field(default_factory=list)
     train_acc: float | None = None
     val_acc: float | None = None
-
-
-@dataclass
-class TrainReport:
-    stages: list[StageReport]
-    probe_acc: dict[int, tuple[float, float | None]] | None
-    wall_time_s: float
-    provenance: net.Provenance
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +254,15 @@ def train_e2e(
     train: LabelledSet,
     config: TrainConfig,
     val: LabelledSet | None = None,
-) -> tuple[net.ModelParams, TrainReport]:
-    """Joint optimization of every layer under softmax cross-entropy."""
-    t0 = time.perf_counter()
+) -> tuple[net.ModelParams, list[StageReport]]:
+    """Joint optimization of every layer under softmax cross-entropy; returns
+    the parameters and the one stage's report."""
     params = net.init_params(spec, derive_seed(config.seed, "init"))
     rng = make_rng(derive_seed(config.seed, "order:e2e"))
     stage, _, _ = _train_span(
         spec, params, 0, len(spec.layers) - 1, None, train, val, config, rng, "e2e")
     params.provenance = net.Provenance("E2E", (), config.seed)
-    report = TrainReport([stage], None, time.perf_counter() - t0, params.provenance)
-    return params, report
+    return params, [stage]
 
 
 def cache_frozen_features(
@@ -310,14 +300,14 @@ def train_cascade(
     config: TrainConfig,
     plan: SplitPlan,
     val: LabelledSet | None = None,
-) -> tuple[net.ModelParams, TrainReport]:
+) -> tuple[net.ModelParams, list[StageReport]]:
     """Stage-wise training: each sub-module learns under its own pool+dense
     head on the frozen prefix's cached activations, then freezes. Ends by
-    fitting the network's classifier tail on the full frozen conv stack."""
+    fitting the network's classifier tail on the full frozen conv stack.
+    Returns the parameters and one report per stage, the tail's last."""
     if plan.parts[-1][-1] != spec.tap_count:
         raise SpecError(
             f"plan covers taps up to {plan.parts[-1][-1]}, network has {spec.tap_count}")
-    t0 = time.perf_counter()
     params = net.init_params(spec, derive_seed(config.seed, "init"))
     stages: list[StageReport] = []
 
@@ -343,8 +333,7 @@ def train_cascade(
 
     params.provenance = net.Provenance(
         "CL", tuple(len(p) for p in plan.parts), config.seed)
-    report = TrainReport(stages, None, time.perf_counter() - t0, params.provenance)
-    return params, report
+    return params, stages
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,16 @@ def test_config_flag_overrides_win(tmp_path):
     ({"train": {"cascade": {"epochs": -1}}}, "train.cascade"),
     ({"train": {"probe": {"lr": 0}}}, "train.probe"),
     ({"detect": {"train": {"momentum": -0.5}}}, "detect.train"),
+    ({"detect": {"B": 0}}, "detect.B"),
+    ({"explain": {"lime": {"ridge_lambda": 0}}}, "explain.lime.ridge_lambda"),
+    ({"explain": {"lime": {"keep_prob": 1.0}}}, "explain.lime.keep_prob"),
+    ({"explain": {"lime": {"top_k": 0}}}, "explain.lime.top_k"),
+    ({"explain": {"lime": {"patch_edge": 0}}}, "explain.lime.patch_edge"),
+    ({"explain": {"lime": {"patch_edge": 33}}}, "explain.lime.patch_edge: must be in 1..32"),
+    ({"detect": {"nms_iou": -1}}, "detect.nms_iou"),
+    ({"detect": {"conf_threshold": 1.5}}, "detect.conf_threshold"),
+    ({"detect": {"lambda_coord": -1}}, "detect.lambda_coord"),
+    ({"detect": {"lambda_noobj": -0.5}}, "detect.lambda_noobj"),
 ])
 def test_config_semantic_errors(tmp_path, section, error):
     path = tmp_path / "bad.json"
@@ -154,6 +164,16 @@ def test_presets_load():
     for name in ("preset-localise", "preset-detect"):
         cfg = load_config(name)
         assert cfg["dataset"]["n_images"] > 0
+
+
+def test_effective_config_hashes_pinned(tmp_path):
+    """The trainer sections' schema comes from ``TrainConfig``'s fields; the
+    effective configs, and so the hash every report carries, stay as they were
+    when each section listed its fields by hand."""
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    hashes = [load_config(source).hash for source in ("preset-localise", "preset-detect", empty)]
+    assert hashes == ["60adeb6b6dfe", "daee5e5f2c67", "95e7d30e9a6d"]
 
 
 def test_train_without_dataset_exit_1(tmp_path, capsys):

@@ -218,7 +218,7 @@ def test_pooled_patch_head_matches_conv_pool_oracle():
         assert q.shape == (n, c * 9, S, S)
         anns = [[(GtBox(int(rng.integers(0, h * 2)), int(rng.integers(0, h * 2)), 6, 6),
                   int(rng.integers(classes)))] for _ in range(n)]
-        obj, coords, cls, _ = dt.encode_batch(anns, S, (h * 4, h * 4))
+        obj, coords, cls = dt.encode_batch(anns, S, (h * 4, h * 4))
 
         loss, d_k, d_b = dt._head_loss(head, q, obj, coords, cls)
         grid = dt.head_raw_grids(head, feats)
@@ -437,8 +437,8 @@ def test_head_backbone_untouched_and_loss_decreases(detect_setup):
     snapshot = [None if b is None else tuple(a.copy() for a in b) for b in params.blocks]
     cfg = TrainConfig(epochs=10, lr=0.1, seed=0, batch_size=8)
     feats = cache_frozen_features(spec, params, images, tap=2)
-    head, report = dt.train_detection_head(
-        spec, tap=2, feats=feats, annotations_per_image=anns, S=4, B=2, config=cfg)
+    [(head, report)] = dt.train_detection_head(
+        spec, tap=2, feats=feats, annotations_per_image=anns, S=4, B=2, configs=[cfg])
     for b1, b2 in zip(params.blocks, snapshot):
         if b1 is not None:
             for a1, a2 in zip(b1, b2):
@@ -449,7 +449,7 @@ def test_head_backbone_untouched_and_loss_decreases(detect_setup):
 def test_head_gradient_matches_finite_differences(detect_setup):
     spec, params, images, anns = detect_setup
     feats = cache_frozen_features(spec, params, images[:4], tap=2)
-    obj, coords, cls, _ = dt.encode_batch(anns[:4], 4, (16, 16))
+    obj, coords, cls = dt.encode_batch(anns[:4], 4, (16, 16))
     head = dt.init_detect_head(spec, 2, 4, 2, seed=5)
     loss, d_k, d_b = dt._head_loss(head, dt.pooled_patches(feats, 4, 3), obj, coords, cls)
 
@@ -473,8 +473,8 @@ def test_head_deterministic(detect_setup):
     spec, params, images, anns = detect_setup
     cfg = TrainConfig(epochs=2, lr=0.05, seed=9, batch_size=8)
     feats = cache_frozen_features(spec, params, images, 1)
-    h1, _ = dt.train_detection_head(spec, 1, feats, anns, 4, 2, cfg)
-    h2, _ = dt.train_detection_head(spec, 1, feats, anns, 4, 2, cfg)
+    [(h1, _)] = dt.train_detection_head(spec, 1, feats, anns, 4, 2, [cfg])
+    [(h2, _)] = dt.train_detection_head(spec, 1, feats, anns, 4, 2, [cfg])
     assert np.array_equal(h1.kernel, h2.kernel)
     assert np.array_equal(h1.bias, h2.bias)
 
@@ -486,12 +486,44 @@ def test_head_training_invariant_to_feature_scale(detect_setup, tap):
     spec, params, images, anns = detect_setup
     cfg = TrainConfig(epochs=4, lr=0.08, seed=3, batch_size=8)
     feats = cache_frozen_features(spec, params, images, tap)
-    h1, r1 = dt.train_detection_head(spec, tap, feats, anns, 2, 2, cfg)
-    h8, r8 = dt.train_detection_head(spec, tap, feats * 8.0, anns, 2, 2, cfg)
+    [(h1, r1)] = dt.train_detection_head(spec, tap, feats, anns, 2, 2, [cfg])
+    [(h8, r8)] = dt.train_detection_head(spec, tap, feats * 8.0, anns, 2, 2, [cfg])
     assert np.array_equal(h1.kernel, h8.kernel)
     assert np.array_equal(h1.bias, h8.bias)
     assert r1.train_losses == r8.train_losses
     assert np.array_equal(dt.head_raw_grids(h1, feats), dt.head_raw_grids(h8, feats * 8.0))
+
+
+def test_head_seeds_share_one_input_pipeline(detect_setup, monkeypatch):
+    """One call with three configs trains the heads three one-config calls
+    train, and each call fits the statistics once and pools each split once."""
+    spec, params, images, anns = detect_setup
+    feats = cache_frozen_features(spec, params, images[:16], 2)
+    val = dict(val_feats=cache_frozen_features(spec, params, images[16:], 2),
+               val_annotations=anns[16:])
+    configs = [TrainConfig(epochs=4, lr=0.08, seed=s, batch_size=8, patience=2) for s in (3, 4, 5)]
+    calls = {}
+    for name in ("pooled_patches", "fit_feature_stats"):
+        def counted(*args, _fn=getattr(dt, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dt, name, counted)
+
+    def train(cfgs):
+        calls.update(pooled_patches=0, fit_feature_stats=0)
+        out = dt.train_detection_head(spec, 2, feats, anns[:16], 4, 2, cfgs, **val)
+        assert calls == {"pooled_patches": 2, "fit_feature_stats": 1}
+        return out
+
+    together = train(configs)
+    assert not np.array_equal(together[0][0].kernel, together[1][0].kernel)
+    for cfg, (head, report) in zip(configs, together):
+        [(alone, alone_report)] = train([cfg])
+        for attr in ("kernel", "bias", "feat_mean", "feat_std"):
+            assert np.array_equal(getattr(head, attr), getattr(alone, attr))
+        assert report.val_losses
+        assert (report.train_losses, report.val_losses) == (
+            alone_report.train_losses, alone_report.val_losses)
 
 
 def test_head_constant_channel_keeps_unit_std(detect_setup):
@@ -499,7 +531,7 @@ def test_head_constant_channel_keeps_unit_std(detect_setup):
     cfg = TrainConfig(epochs=3, lr=0.08, seed=3, batch_size=8)
     feats = cache_frozen_features(spec, params, images, 2)
     feats[:, 1] = 0.3
-    head, report = dt.train_detection_head(spec, 2, feats, anns, 4, 2, cfg)
+    [(head, report)] = dt.train_detection_head(spec, 2, feats, anns, 4, 2, [cfg])
     assert np.all(np.isfinite(report.train_losses))
     assert head.feat_std[1] == 1.0
     assert np.all(head.feat_std > 0)

@@ -104,7 +104,7 @@ def test_split_plan_validation():
 def test_e2e_zero_epochs_keeps_init(small_spec):
     data = two_bar_set(16)
     cfg = tr.TrainConfig(epochs=0, seed=5)
-    params, report = tr.train_e2e(small_spec, data, cfg)
+    params, stages = tr.train_e2e(small_spec, data, cfg)
     init = net.init_params(small_spec, derive_seed(5, "init"))
     assert blocks_equal(params.blocks, init.blocks)
     assert params.provenance.scheme == "E2E"
@@ -121,8 +121,8 @@ def test_e2e_deterministic(small_spec):
 def test_e2e_learns_separable_task(small_spec):
     data = two_bar_set(160, seed=1)
     cfg = tr.TrainConfig(epochs=14, lr=0.05, seed=3)
-    params, report = tr.train_e2e(small_spec, data, cfg)
-    assert report.stages[0].train_acc >= 0.99
+    params, stages = tr.train_e2e(small_spec, data, cfg)
+    assert stages[0].train_acc >= 0.99
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_cascade_frozen_prefix_bitwise(small_spec):
     data = two_bar_set(48, seed=2)
     cfg = tr.TrainConfig(epochs=1, seed=7)
     plan = tr.make_split_plan(2, 2)
-    params, report = tr.train_cascade(small_spec, data, cfg, plan)
+    params, stages = tr.train_cascade(small_spec, data, cfg, plan)
     snapshot = [None if b is None else tuple(a.copy() for a in b) for b in params.blocks]
 
     # further probe training must leave everything untouched
@@ -144,7 +144,7 @@ def test_cascade_frozen_prefix_bitwise(small_spec):
     assert params.provenance.scheme == "CL"
     assert params.provenance.splits == (1, 1)
     # stages: one per part plus the classifier tail
-    assert len(report.stages) == 3
+    assert len(stages) == 3
 
 
 def test_cascade_stagewise_freezing(small_spec):
@@ -172,17 +172,17 @@ def test_cascade_stagewise_freezing(small_spec):
 def test_cascade_single_part_plan(small_spec):
     data = two_bar_set(32, seed=4)
     cfg = tr.TrainConfig(epochs=1, seed=13)
-    params, report = tr.train_cascade(small_spec, data, cfg, tr.make_split_plan(2, 1))
-    assert len(report.stages) == 2  # one backbone stage + classifier tail
+    params, stages = tr.train_cascade(small_spec, data, cfg, tr.make_split_plan(2, 1))
+    assert len(stages) == 2  # one backbone stage + classifier tail
     assert params.provenance.splits == (2,)
 
 
 def test_cascade_learns(small_spec):
     data = two_bar_set(160, seed=5)
     cfg = tr.TrainConfig(epochs=10, lr=0.05, seed=21)
-    params, report = tr.train_cascade(small_spec, data, cfg, tr.make_split_plan(2, 2))
+    params, stages = tr.train_cascade(small_spec, data, cfg, tr.make_split_plan(2, 2))
     # final-stage classifier reaches high train accuracy on the toy task
-    assert report.stages[-1].train_acc >= 0.9
+    assert stages[-1].train_acc >= 0.9
 
 
 def test_cascade_deterministic(small_spec):
@@ -223,9 +223,9 @@ def test_probes_on_random_backbone_near_chance(small_spec):
 def test_probe_at_final_tap_tracks_training_accuracy(small_spec):
     data = two_bar_set(160, seed=10)
     cfg = tr.TrainConfig(epochs=12, lr=0.05, seed=23)
-    params, report = tr.train_e2e(small_spec, data, cfg)
+    params, stages = tr.train_e2e(small_spec, data, cfg)
     _, accs = tr.train_probes(small_spec, params, data, tr.TrainConfig(epochs=12, lr=0.1, seed=5))
-    assert accs[small_spec.tap_count][0] >= report.stages[0].train_acc - 0.05
+    assert accs[small_spec.tap_count][0] >= stages[0].train_acc - 0.05
 
 
 # ---------------------------------------------------------------------------
