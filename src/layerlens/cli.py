@@ -24,7 +24,7 @@ from . import locmetrics as lm
 from . import network as net
 from . import numerics as nm
 from . import training as tr
-from .config import METHODS, ExperimentConfig, check_k, check_taps, load_config
+from .config import METHODS, ExperimentConfig, check_k, check_taps, load_config, shape_spec
 from .errors import ConfigError, LayerlensError
 from .fileio import atomic_open
 from .seeding import derive_seed, make_rng
@@ -126,10 +126,7 @@ def _pool_map(fn, items, jobs: int):
 
 def cmd_generate(cfg: ExperimentConfig, args) -> int:
     d = cfg["dataset"]
-    spec = dat.ShapeSpec(
-        image_edge=d["image_edge"], size_range=tuple(d["size_range"]),
-        intensity_range=tuple(d["intensity_range"]), noise=d["noise"],
-        distractors=d["distractors"], channels=d["channels"])
+    spec = shape_spec(d)
     data_seed = derive_seed(cfg.seed, "data")
     manifest = dat.generate_shapes_dataset(
         spec, d["n_images"], d["class_count"], data_seed,

@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, SpecError
+from .data import SHAPE_KINDS, ShapeSpec
+from .errors import ConfigError, ShapeError, SpecError
 from .training import TrainConfig
 
 PRESETS = {
@@ -160,6 +161,14 @@ def check_k(where: str, k: int) -> int:
     return k
 
 
+def shape_spec(dataset: dict) -> ShapeSpec:
+    """The generator settings of a ``dataset`` section."""
+    return ShapeSpec(
+        image_edge=dataset["image_edge"], size_range=tuple(dataset["size_range"]),
+        intensity_range=tuple(dataset["intensity_range"]), noise=dataset["noise"],
+        distractors=dataset["distractors"], channels=dataset["channels"])
+
+
 def _require(where: str, value, ok: bool, rule: str) -> None:
     if not ok:
         raise ConfigError(f"{where}: must be {rule}, got {value}")
@@ -169,8 +178,20 @@ def _semantic_checks(cfg: dict) -> None:
     if len(cfg["model"]["widths"]) != TAP_COUNT:
         raise ConfigError(f"model.widths: exactly {TAP_COUNT} channel widths required")
     explain, lime, dcfg = cfg["explain"], cfg["explain"]["lime"], cfg["detect"]
+    data, kernel = cfg["dataset"], cfg["model"]["kernel"]
+    try:
+        shape_spec(data)
+    except ShapeError as e:
+        raise ConfigError(f"dataset: {e}") from None
+    kinds = len(SHAPE_KINDS)
+    _require("dataset.class_count", data["class_count"], 1 <= data["class_count"] <= kinds,
+             f"in 1..{kinds}")
+    fractions = data["split_fractions"]
+    _require("dataset.split_fractions", fractions,
+             min(fractions) >= 0 and abs(sum(fractions) - 1.0) <= 1e-9, ">= 0, summing to 1")
+    _require("model.kernel", kernel, kernel >= 1 and kernel % 2 == 1, "a positive odd number")
     at_least_one = [("model.widths", w) for w in cfg["model"]["widths"]] + [
-        ("model.kernel", cfg["model"]["kernel"]), ("jobs", cfg["jobs"]),
+        ("dataset.n_images", data["n_images"]), ("jobs", cfg["jobs"]),
         ("detect.head_seeds", dcfg["head_seeds"]), ("detect.B", dcfg["B"]),
         ("explain.lime.n_samples", lime["n_samples"]), ("explain.lime.top_k", lime["top_k"]),
         ("granulometry.max_size", cfg["granulometry"]["max_size"])]
@@ -182,7 +203,7 @@ def _semantic_checks(cfg: dict) -> None:
     _require("explain.sigma", explain["sigma"], explain["sigma"] >= 0, ">= 0")
     _require("explain.lime.ridge_lambda", lime["ridge_lambda"], lime["ridge_lambda"] > 0, "> 0")
     _require("explain.lime.keep_prob", lime["keep_prob"], 0 < lime["keep_prob"] < 1, "in (0, 1)")
-    edge = cfg["dataset"]["image_edge"]
+    edge = data["image_edge"]
     _require("explain.lime.patch_edge", lime["patch_edge"], 1 <= lime["patch_edge"] <= edge,
              f"in 1..{edge} (dataset.image_edge)")
     for key in ("nms_iou", "conf_threshold"):
@@ -231,20 +252,14 @@ def _config_text(source: str | Path) -> str:
 
 
 def load_config(source: str | Path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse, default-fill and validate; ``overrides`` (flag values) win."""
+    """Parse, default-fill and validate; ``overrides`` (top-level keys set by
+    flags) win where they are not None."""
     try:
         given = json.loads(_config_text(source))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     cfg = _merge(SCHEMA, given)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        node = cfg
-        *parents, leaf = key.split(".")
-        for p in parents:
-            node = node[p]
-        node[leaf] = value
+    cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
     _semantic_checks(cfg)
     # jobs is an execution detail: outputs must not depend on worker count
     hashed = {k: v for k, v in cfg.items() if k != "jobs"}

@@ -58,6 +58,8 @@ class ShapeSpec:
             raise ShapeError(f"noise must be in [0, 1], got {self.noise}")
         if self.channels not in (1, 3):
             raise ShapeError(f"channels must be 1 or 3, got {self.channels}")
+        if self.distractors < 0:
+            raise ShapeError(f"distractors must be >= 0, got {self.distractors}")
 
     def to_json(self) -> str:
         return json.dumps({

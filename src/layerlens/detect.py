@@ -377,9 +377,8 @@ def load_head(path) -> DetectHead:
         raise WeightsError(
             f"head file feature statistics {feat_mean.shape}, {feat_std.shape} do not fit "
             f"the kernel's {c} input channels")
-    if not (np.all(np.isfinite(feat_mean)) and np.all(np.isfinite(feat_std))
-            and np.all(feat_std > 0)):
-        raise WeightsError("head file feature statistics must be finite, with every std > 0")
+    if not np.all(feat_std > 0):
+        raise WeightsError("head file feature statistics must have every std > 0")
     return DetectHead(tap, S, B, class_count, kernel, bias, feat_mean, feat_std)
 
 

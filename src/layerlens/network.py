@@ -37,10 +37,10 @@ from .seeding import make_rng
 
 @dataclass(frozen=True)
 class Conv:
+    """Stride-1 conv, odd square kernel, zero-padded by kernel // 2: keeps (h, w)."""
+
     out_channels: int
     kernel: int = 3
-    stride: int = 1
-    pad: int = 1
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,9 @@ class Relu:
 
 @dataclass(frozen=True)
 class Pool:
+    """Max-pool over non-overlapping window x window blocks."""
+
     window: int = 2
-    stride: int = 2
 
 
 @dataclass(frozen=True)
@@ -92,14 +93,9 @@ class NetworkSpec:
             if isinstance(layer, Conv):
                 if flat:
                     raise SpecError(f"layer {i}: conv after flatten")
-                c, h, w = shape
-                oh = nm._out_len(h, layer.kernel, layer.stride, layer.pad)
-                ow = nm._out_len(w, layer.kernel, layer.stride, layer.pad)
-                if oh < 1 or ow < 1:
-                    raise SpecError(
-                        f"layer {i}: spatial collapse, conv on {shape} gives ({oh}, {ow})"
-                    )
-                shape = (layer.out_channels, oh, ow)
+                if layer.kernel < 1 or layer.kernel % 2 == 0:
+                    raise SpecError(f"layer {i}: conv kernel {layer.kernel} must be odd and >= 1")
+                shape = (layer.out_channels, *shape[1:])
                 self.tap_layers.append(i)  # provisional: capture at conv output
                 last_conv_at = i
             elif isinstance(layer, Relu):
@@ -114,11 +110,7 @@ class NetworkSpec:
                         f"layer {i}: spatial collapse, pool window {layer.window} "
                         f"exceeds {shape}"
                     )
-                shape = (
-                    c,
-                    nm._out_len(h, layer.window, layer.stride, 0),
-                    nm._out_len(w, layer.window, layer.stride, 0),
-                )
+                shape = (c, h // layer.window, w // layer.window)
             elif isinstance(layer, Flatten):
                 if flat:
                     raise SpecError(f"layer {i}: flatten twice")
@@ -157,13 +149,14 @@ class NetworkSpec:
         lines.append(f"classes {self.class_count}")
         for layer in self.layers:
             kind = _KIND[type(layer)]
+            # stride and pad are implied, and written so spec hashes keep their bytes
             if isinstance(layer, Conv):
                 lines.append(
                     f"layer conv out={layer.out_channels} kernel={layer.kernel} "
-                    f"stride={layer.stride} pad={layer.pad}"
+                    f"stride=1 pad={layer.kernel // 2}"
                 )
             elif isinstance(layer, Pool):
-                lines.append(f"layer pool window={layer.window} stride={layer.stride}")
+                lines.append(f"layer pool window={layer.window} stride={layer.window}")
             elif isinstance(layer, Dense):
                 lines.append(f"layer dense units={layer.units}")
             else:
@@ -192,10 +185,10 @@ def build_six_layer_net(input_shape, class_count: int, channel_widths, kernel: i
         raise SpecError(f"expected 6 channel widths, got {len(widths)}")
     layers: list[Layer] = []
     for i, w in enumerate(widths):
-        layers.append(Conv(w, kernel=kernel, stride=1, pad=kernel // 2))
+        layers.append(Conv(w, kernel))
         layers.append(Relu())
         if i % 2 == 1:
-            layers.append(Pool(2, 2))
+            layers.append(Pool(2))
     layers.append(Flatten())
     layers.append(Dense(class_count))
     return NetworkSpec(layers, input_shape, class_count)
@@ -242,11 +235,11 @@ def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
 
 def _layer_forward(layer: Layer, block, x):
     if isinstance(layer, Conv):
-        return nm.conv2d(x, block[0], block[1], layer.stride, layer.pad)
+        return nm.conv2d(x, block[0], block[1])
     if isinstance(layer, Relu):
         return nm.relu(x)
     if isinstance(layer, Pool):
-        return nm.maxpool2d(x, layer.window, layer.stride)
+        return nm.maxpool2d(x, layer.window)
     if isinstance(layer, Flatten):
         return x.reshape(x.shape[0], -1)
     if isinstance(layer, Dense):
@@ -263,13 +256,13 @@ def _layer_backward(layer: Layer, block, x_in, d_out, want_input: bool = True,
     false; other layers compute everything, which is cheap for them.
     """
     if isinstance(layer, Conv):
-        d_x, d_k, d_b = nm.conv2d_backward(x_in, block[0], d_out, layer.stride, layer.pad,
+        d_x, d_k, d_b = nm.conv2d_backward(x_in, block[0], d_out,
                                            want_input=want_input, want_params=want_params)
         return d_x, ((d_k, d_b) if want_params else None)
     if isinstance(layer, Relu):
         return nm.relu_backward(x_in, d_out), None
     if isinstance(layer, Pool):
-        return nm.maxpool2d_backward(x_in, d_out, layer.window, layer.stride), None
+        return nm.maxpool2d_backward(x_in, d_out, layer.window), None
     if isinstance(layer, Flatten):
         return d_out.reshape(x_in.shape), None
     if isinstance(layer, Dense):
@@ -456,7 +449,10 @@ class SealedReader:
             raise WeightsError(f"{self.kind} file holds an array of rank {ndim}, at most 4")
         shape = self.unpack(f"<{ndim}I")
         count = math.prod(shape)  # a Python int: a forged shape cannot overflow it
-        return np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
+        a = np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(a).all():
+            raise WeightsError(f"{self.kind} file holds a non-finite value")
+        return a
 
     def finish(self) -> None:
         if self.pos != len(self.buf):

@@ -28,42 +28,34 @@ def check_tensor4(x, name: str = "input") -> np.ndarray:
     return x
 
 
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, tuple):
-        return v
-    return (int(v), int(v))
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """View of the k x k patch around every pixel of ``x`` zero-padded by
+    k // 2: shape (n, c, h, w, k, k)."""
+    p = k // 2
+    if p:  # zeros plus a copy: the values of np.pad, faster on small batches
+        n, c, h, w = x.shape
+        padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        padded[:, :, p:p + h, p:p + w] = x
+        x = padded
+    return sliding_window_view(x, (k, k), axis=(2, 3))
 
 
-def _out_len(n: int, k: int, stride: int, pad: int) -> int:
-    return (n + 2 * pad - k) // stride + 1
-
-
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad) -> np.ndarray:
-    """Strided view of all (kh, kw) patches, subsampled by stride.
-
-    Returns shape (n, c, oh, ow, kh, kw) over the zero-padded input.
-    """
-    ph, pw = _pair(pad)
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
-
-
-def _patches(x: np.ndarray, kh: int, kw: int, stride: int, pad) -> np.ndarray:
-    """Kernel-major patch matrix ("im2col") of shape (c*kh*kw, n*oh*ow).
+def _patches(x: np.ndarray, k: int) -> np.ndarray:
+    """Kernel-major patch matrix ("im2col") of shape (c*k*k, n*h*w).
 
     Rows run over (channel, kernel row, kernel column) and columns over
     (image, output row, output column), so each contiguous run the copy
     makes is one whole output row.
     """
-    win = _windows(x, kh, kw, stride, pad)
-    n, c, oh, ow = win.shape[:4]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
+    win = _windows(x, k)
+    n, c, h, w = win.shape[:4]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
 
 
-def conv2d(x, kernel, bias=None, stride: int = 1, pad=0) -> Tensor4:
-    """Cross-correlation of ``x`` (n, c, h, w) with ``kernel`` (out_c, c, kh, kw)."""
+def conv2d(x, kernel, bias=None) -> Tensor4:
+    """Cross-correlation of ``x`` (n, c, h, w) with ``kernel`` (out_c, c, k, k),
+    odd k, at stride 1 over ``x`` zero-padded by k // 2: the output keeps
+    the input's height and width."""
     x = check_tensor4(x, "conv input")
     kernel = as_f64(kernel)
     if kernel.ndim != 4:
@@ -75,17 +67,10 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad=0) -> Tensor4:
             f"conv channel mismatch: input shape {x.shape} has {c} channels, "
             f"kernel shape {kernel.shape} expects {in_c}"
         )
-    if stride < 1:
-        raise ShapeError(f"conv stride must be >= 1, got {stride}")
-    ph, pw = _pair(pad)
-    oh, ow = _out_len(h, kh, stride, ph), _out_len(w, kw, stride, pw)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"conv output collapses: input {x.shape}, kernel {kernel.shape}, "
-            f"stride {stride}, pad {pad} -> ({oh}, {ow})"
-        )
-    y = kernel.reshape(out_c, -1) @ _patches(x, kh, kw, stride, pad)
-    y = np.ascontiguousarray(y.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3))
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv kernel {kernel.shape[2:]} is not square with an odd edge")
+    y = kernel.reshape(out_c, -1) @ _patches(x, kh)
+    y = np.ascontiguousarray(y.reshape(out_c, n, h, w).transpose(1, 0, 2, 3))
     if bias is not None:
         bias = as_f64(bias)
         if bias.shape != (out_c,):
@@ -94,10 +79,10 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad=0) -> Tensor4:
     return y
 
 
-def conv2d_param_grads(x, kernel_shape, d_out, stride: int = 1, pad=0):
+def conv2d_param_grads(x, kernel_shape, d_out):
     """Kernel/bias gradients only (cheaper when the input is frozen).
 
-    This product keeps the (n*oh*ow, c*kh*kw) patch layout of ``_windows``
+    This product keeps the (n*h*w, c*k*k) patch layout of ``_windows``
     rather than the kernel-major ``_patches`` that ``conv2d`` uses. A
     kernel-major kernel gradient differs in the last bits at layer 0 of the
     preset net on batches of 13 rows or fewer, and preset-localise ends
@@ -107,56 +92,28 @@ def conv2d_param_grads(x, kernel_shape, d_out, stride: int = 1, pad=0):
     """
     x = check_tensor4(x, "conv input")
     d_out = check_tensor4(d_out, "conv upstream gradient")
-    out_c, in_c, kh, kw = kernel_shape
-    win = _windows(x, kh, kw, stride, pad)
+    win = _windows(x, kernel_shape[2])
     d_kernel = np.tensordot(d_out, win, axes=([0, 2, 3], [0, 2, 3]))
     d_bias = d_out.sum(axis=(0, 2, 3))
     return d_kernel, d_bias
 
 
-def _grid_slices(n_out: int, size: int, k: int, pad: int, stride: int) -> tuple[slice, slice]:
-    """(destination, source) slices that place output positions 0..n_out-1
-    at k-1-pad + stride*i along one axis of a (size+k-1)-long array,
-    keeping only the positions that land inside it."""
-    offset = k - 1 - pad
-    first = max(0, -(offset // stride))  # ceil(-offset / stride) when offset < 0
-    last = min(n_out - 1, (size + k - 2 - offset) // stride)
-    if last < first:
-        return slice(0, 0), slice(0, 0)
-    start = offset + stride * first
-    return (slice(start, offset + stride * last + 1, stride), slice(first, last + 1))
-
-
-def conv2d_backward(x, kernel, d_out, stride: int = 1, pad=0, *,
-                    want_input: bool = True, want_params: bool = True):
+def conv2d_backward(x, kernel, d_out, *, want_input: bool = True, want_params: bool = True):
     """Analytic gradients of conv2d: returns (d_input, d_kernel, d_bias).
 
-    ``want_input=False`` skips the input gradient and ``want_params=False``
-    the kernel and bias gradients; a skipped entry is returned as None. What
-    is computed is identical to the full call.
+    The input gradient is the same-padded conv of ``d_out`` with the flipped
+    kernel. ``want_input=False`` skips it and ``want_params=False`` the
+    kernel and bias gradients; a skipped entry is returned as None. What is
+    computed is identical to the full call.
     """
     x = check_tensor4(x, "conv input")
     kernel = as_f64(kernel)
     d_out = check_tensor4(d_out, "conv upstream gradient")
-    n, c, h, w = x.shape
-    out_c, in_c, kh, kw = kernel.shape
-    ph, pw = _pair(pad)
-
     d_kernel = d_bias = d_input = None
     if want_params:
-        d_kernel, d_bias = conv2d_param_grads(x, kernel.shape, d_out, stride, pad)
+        d_kernel, d_bias = conv2d_param_grads(x, kernel.shape, d_out)
     if want_input:
-        # transposed convolution at the input's exact size: scatter d_out on
-        # the stride grid of a (h+kh-1, w+kw-1) array at offset
-        # (kh-1-ph, kw-1-pw), then correlate with the flipped kernel. Output
-        # positions whose window lies wholly in the padding fall outside the
-        # array and are dropped; they reach no input pixel.
-        d_z = np.zeros((n, out_c, h + kh - 1, w + kw - 1), dtype=np.float64)
-        rows = _grid_slices(d_out.shape[2], h, kh, ph, stride)
-        cols = _grid_slices(d_out.shape[3], w, kw, pw, stride)
-        d_z[:, :, rows[0], cols[0]] = d_out[:, :, rows[1], cols[1]]
-        k_flip = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        d_input = conv2d(d_z, k_flip)
+        d_input = conv2d(d_out, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return d_input, d_kernel, d_bias
 
 
@@ -169,35 +126,33 @@ def relu_backward(x, d_out) -> np.ndarray:
     return np.where(x > 0, as_f64(d_out), 0.0)
 
 
-def _pool_offsets(shape: tuple, window: int, stride: int) -> list[tuple]:
+def _pool_offsets(shape: tuple, window: int) -> list[tuple]:
     """One index per window offset, in row-major offset order.
 
     Indexing a (n, c, h, w) array with the entry for offset (di, dj) gives a
-    view of pooled shape (n, c, oh, ow) holding every window's element at
-    that offset; trailing partial windows are truncated.
+    view of pooled shape (n, c, h // window, w // window) holding every
+    window's element at that offset; trailing partial windows are truncated.
     """
     h, w = shape[2:]
-    rows = stride * (_out_len(h, window, stride, 0) - 1) + 1
-    cols = stride * (_out_len(w, window, stride, 0) - 1) + 1
-    return [(slice(None), slice(None), slice(di, di + rows, stride), slice(dj, dj + cols, stride))
+    rows, cols = h - h % window, w - w % window
+    return [(slice(None), slice(None), slice(di, rows, window), slice(dj, cols, window))
             for di in range(window) for dj in range(window)]
 
 
-def maxpool2d(x, window: int, stride: int | None = None) -> Tensor4:
-    """Per-window maximum; trailing partial windows are truncated."""
+def maxpool2d(x, window: int) -> Tensor4:
+    """Maximum over non-overlapping window x window blocks, partial ones truncated."""
     x = check_tensor4(x, "pool input")
-    stride = window if stride is None else stride
     n, c, h, w = x.shape
     if window > h or window > w:
         raise ShapeError(f"pool window {window} larger than input spatial dims {(h, w)}")
-    first, *rest = _pool_offsets(x.shape, window, stride)
+    first, *rest = _pool_offsets(x.shape, window)
     out = x[first].copy()
     for idx in rest:
         np.maximum(out, x[idx], out=out)
     return out
 
 
-def maxpool2d_backward(x, d_out, window: int, stride: int | None = None) -> np.ndarray:
+def maxpool2d_backward(x, d_out, window: int) -> np.ndarray:
     """Routes gradient to each window's argmax, first occurrence in row-major order.
 
     Offsets are visited in row-major order and ``taken`` marks the windows
@@ -206,11 +161,10 @@ def maxpool2d_backward(x, d_out, window: int, stride: int | None = None) -> np.n
     """
     x = check_tensor4(x, "pool input")
     d_out = check_tensor4(d_out, "pool upstream gradient")
-    stride = window if stride is None else stride
-    pooled = maxpool2d(x, window, stride)
+    pooled = maxpool2d(x, window)
     d_x = np.zeros(x.shape)
     taken = np.zeros(pooled.shape, dtype=bool)
-    for idx in _pool_offsets(x.shape, window, stride):
+    for idx in _pool_offsets(x.shape, window):
         hit = (x[idx] == pooled) & ~taken
         taken |= hit
         d_x[idx] += np.where(hit, d_out, 0.0)

@@ -43,14 +43,14 @@ def test_criterion_1_gradient_correctness():
         x = rng.standard_normal((2, 3, 8, 8))
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        up = rng.standard_normal(nm.conv2d(x, k, b, 1, 1).shape)
-        d_x, d_k, d_b = nm.conv2d_backward(x, k, up, 1, 1)
+        up = rng.standard_normal(nm.conv2d(x, k, b).shape)
+        d_x, d_k, d_b = nm.conv2d_backward(x, k, up)
         assert rel_err(d_x, nm.finite_diff_grad(
-            lambda v: float((nm.conv2d(v, k, b, 1, 1) * up).sum()), x)) < 1e-5
+            lambda v: float((nm.conv2d(v, k, b) * up).sum()), x)) < 1e-5
         assert rel_err(d_k, nm.finite_diff_grad(
-            lambda v: float((nm.conv2d(x, v, b, 1, 1) * up).sum()), k)) < 1e-5
+            lambda v: float((nm.conv2d(x, v, b) * up).sum()), k)) < 1e-5
         assert rel_err(d_b, nm.finite_diff_grad(
-            lambda v: float((nm.conv2d(x, k, v, 1, 1) * up).sum()), b)) < 1e-5
+            lambda v: float((nm.conv2d(x, k, v) * up).sum()), b)) < 1e-5
 
         xr = rng.standard_normal((1, 2, 5, 5))
         xr[np.abs(xr) <= 1e-3] = 0.5
@@ -60,8 +60,8 @@ def test_criterion_1_gradient_correctness():
 
         xp = rng.permutation(72).astype(float).reshape(1, 2, 6, 6)
         upp = rng.standard_normal((1, 2, 3, 3))
-        assert rel_err(nm.maxpool2d_backward(xp, upp, 2, 2), nm.finite_diff_grad(
-            lambda v: float((nm.maxpool2d(v, 2, 2) * upp).sum()), xp, 1e-4)) < 1e-5
+        assert rel_err(nm.maxpool2d_backward(xp, upp, 2), nm.finite_diff_grad(
+            lambda v: float((nm.maxpool2d(v, 2) * upp).sum()), xp, 1e-4)) < 1e-5
 
         xd = rng.standard_normal((3, 5))
         wd = rng.standard_normal((4, 5))
@@ -102,7 +102,7 @@ def test_criterion_2_grad_cam_conformance():
     for trial in range(1000):
         channels = int(rng.integers(1, 4))
         edge = int(rng.integers(4, 8))
-        layers = [net.Conv(channels, 3, 1, 1), net.Relu(), net.Flatten(), net.Dense(2)]
+        layers = [net.Conv(channels, 3), net.Relu(), net.Flatten(), net.Dense(2)]
         spec = net.NetworkSpec(layers, (1, edge, edge), 2)
         params = net.init_params(spec, trial)
         img = rng.standard_normal((1, edge, edge))

@@ -128,6 +128,18 @@ def test_config_flag_overrides_win(tmp_path):
     ({"detect": {"conf_threshold": 1.5}}, "detect.conf_threshold"),
     ({"detect": {"lambda_coord": -1}}, "detect.lambda_coord"),
     ({"detect": {"lambda_noobj": -0.5}}, "detect.lambda_noobj"),
+    ({"model": {"kernel": 4}}, "model.kernel: must be a positive odd number"),
+    ({"dataset": {"noise": 2.0}}, "dataset: noise must be in [0, 1]"),
+    ({"dataset": {"size_range": [1, 3]}}, "dataset: size_range"),
+    ({"dataset": {"size_range": [10, 40]}}, "dataset: unsatisfiable geometry"),
+    ({"dataset": {"intensity_range": [0.9, 0.2]}}, "dataset: intensity_range"),
+    ({"dataset": {"channels": 2}}, "dataset: channels"),
+    ({"dataset": {"distractors": -1}}, "dataset: distractors must be >= 0"),
+    ({"dataset": {"n_images": -5}}, "dataset.n_images: must be >= 1"),
+    ({"dataset": {"class_count": 5}}, "dataset.class_count: must be in 1..4"),
+    ({"dataset": {"class_count": 0}}, "dataset.class_count: must be in 1..4"),
+    ({"dataset": {"split_fractions": [0.5, 0.2, 0.2]}}, "dataset.split_fractions"),
+    ({"dataset": {"split_fractions": [1.2, -0.1, -0.1]}}, "dataset.split_fractions"),
 ])
 def test_config_semantic_errors(tmp_path, section, error):
     path = tmp_path / "bad.json"
@@ -546,6 +558,26 @@ def test_wrong_size_image_exit_1(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and ann.path in err
     assert "image shape (1, 16, 16), expected (1, 32, 32)" in err
+
+
+def test_explain_non_finite_weights_exit_1(pipeline, tmp_path, capsys):
+    """A weight file whose checksum holds but whose layer-0 kernel holds a NaN
+    is refused on reading, before LIME writes a heatmap of NaNs."""
+    cfg_path, out = pipeline
+    spec = cli._build_spec(load_config(cfg_path))
+    params = net.load_weights(out / "weights_e2e.llw", spec)
+    kernel, bias = params.blocks[0]
+    kernel = kernel.copy()
+    kernel[0, 0, 1, 1] = np.nan
+    params.blocks[0] = (kernel, bias)
+    weights = tmp_path / "weights_nan.llw"
+    net.save_weights(spec, params, weights)
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "explain", "--weights", str(weights),
+                 "--methods", "lime"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: weight file holds a non-finite value\n"
+    assert not list((out / "explain_weights_nan").rglob("*.pgm"))
 
 
 def test_explain_one_backward_per_image_and_method(pipeline, tmp_path, monkeypatch):

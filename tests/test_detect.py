@@ -180,12 +180,11 @@ def test_adaptive_pool_exact_division():
 
 
 def _conv_pool_reference(z, kernel, bias, S):
-    """Reference head: the k x k conv at full resolution, then the adaptive
+    """Reference head: the same-padded k x k conv at full resolution, then the adaptive
     pool. Returns the raw grids (n, S, S, out_c) and a function from their
     gradient to the kernel and bias gradients, through the pool's backward,
     which spreads each cell's gradient evenly over its bin."""
-    pad = kernel.shape[2] // 2
-    raw = nm.conv2d(z, kernel, bias, stride=1, pad=pad)
+    raw = nm.conv2d(z, kernel, bias)
     n, c, h, w = raw.shape
     eh, ew = (np.arange(S + 1) * h) // S, (np.arange(S + 1) * w) // S
 
@@ -196,7 +195,7 @@ def _conv_pool_reference(z, kernel, bias, S):
                 area = (eh[i + 1] - eh[i]) * (ew[j + 1] - ew[j])
                 d_raw[:, :, eh[i]:eh[i + 1], ew[j]:ew[j + 1]] += (
                     d_grid[:, i, j, :] / area)[:, :, None, None]
-        return nm.conv2d_param_grads(z, kernel.shape, d_raw, stride=1, pad=pad)
+        return nm.conv2d_param_grads(z, kernel.shape, d_raw)
     return dt.adaptive_avg_pool(raw, S).transpose(0, 2, 3, 1), backward
 
 

@@ -19,9 +19,9 @@ def linear_spec():
 @pytest.fixture(scope="module")
 def conv_spec():
     layers = [
-        net.Conv(3, 3, 1, 1), net.Relu(),
-        net.Conv(4, 3, 1, 1), net.Relu(),
-        net.Pool(2, 2),
+        net.Conv(3, 3), net.Relu(),
+        net.Conv(4, 3), net.Relu(),
+        net.Pool(2),
         net.Flatten(), net.Dense(2),
     ]
     return net.NetworkSpec(layers, (1, 8, 8), 2)
@@ -135,7 +135,7 @@ def test_grad_cam_equals_brute_force_on_model(conv_spec):
 def test_grad_cam_nonnegative_random_models():
     rng = make_rng(7)
     for trial in range(25):
-        layers = [net.Conv(2, 3, 1, 1), net.Relu(), net.Flatten(), net.Dense(2)]
+        layers = [net.Conv(2, 3), net.Relu(), net.Flatten(), net.Dense(2)]
         spec = net.NetworkSpec(layers, (1, 6, 6), 2)
         params = net.init_params(spec, trial)
         img = rng.standard_normal((1, 6, 6))

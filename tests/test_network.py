@@ -29,9 +29,9 @@ def six_net():
 def tiny_net():
     # two conv blocks + pool keeps forward/backward tests fast
     layers = [
-        net.Conv(4, 3, 1, 1), net.Relu(),
-        net.Conv(4, 3, 1, 1), net.Relu(),
-        net.Pool(2, 2),
+        net.Conv(4, 3), net.Relu(),
+        net.Conv(4, 3), net.Relu(),
+        net.Pool(2),
         net.Flatten(), net.Dense(3),
     ]
     return net.NetworkSpec(layers, (1, 8, 8), 3)
@@ -60,6 +60,36 @@ def test_spatial_collapse_rejected():
 def test_wrong_width_count_rejected():
     with pytest.raises(SpecError):
         net.build_six_layer_net((1, 32, 32), 2, [4] * 5)
+
+
+@pytest.mark.parametrize("kernel", [2, 4, 0])
+def test_even_conv_kernel_rejected(kernel):
+    """Only an odd kernel has a centre, so only it keeps the map's size under
+    pad kernel // 2."""
+    layers = [net.Conv(4, kernel), net.Relu(), net.Flatten(), net.Dense(2)]
+    with pytest.raises(SpecError, match=f"conv kernel {kernel} must be odd and >= 1"):
+        net.NetworkSpec(layers, (1, 8, 8), 2)
+
+
+def test_conv_keeps_and_pool_divides_the_map():
+    spec = net.NetworkSpec([net.Conv(4, 5), net.Relu(), net.Pool(3), net.Flatten(),
+                            net.Dense(2)], (1, 7, 8), 2)
+    assert spec.layer_shapes[:3] == [(4, 7, 8), (4, 7, 8), (4, 2, 2)]
+
+
+@pytest.mark.parametrize("widths, digest", [
+    ((8, 8, 16, 16, 32, 32), "b6185555ad5299c60a63a61c4c3126539850fbefa62e843cb050010c6859ff2b"),
+    ((4, 4, 6, 6, 8, 8), "dc87d006e371a6440337805a78863d162e6410c7ed00ebf90338dbc90e21ac0a"),
+])
+def test_spec_text_and_hash_pinned(widths, digest):
+    """The canonical text still names each conv's stride and pad and each
+    pool's stride, so spec hashes, weight files and .spec sidecars keep the
+    bytes they had when those were layer fields."""
+    spec = net.build_six_layer_net((1, 32, 32), 3, widths)
+    lines = spec.canonical_text().splitlines()
+    assert f"layer conv out={widths[0]} kernel=3 stride=1 pad=1" in lines
+    assert "layer pool window=2 stride=2" in lines
+    assert spec.spec_hash().hex() == digest
 
 
 def test_forward_depth_zero(tiny_net):
@@ -308,9 +338,9 @@ def test_wrong_spec_names_layer(tmp_path, tiny_net):
     net.save_weights(tiny_net, params, path)
     other = net.NetworkSpec(
         [
-            net.Conv(8, 3, 1, 1), net.Relu(),
-            net.Conv(4, 3, 1, 1), net.Relu(),
-            net.Pool(2, 2),
+            net.Conv(8, 3), net.Relu(),
+            net.Conv(4, 3), net.Relu(),
+            net.Pool(2),
             net.Flatten(), net.Dense(3),
         ],
         (1, 8, 8),
@@ -319,6 +349,21 @@ def test_wrong_spec_names_layer(tmp_path, tiny_net):
     with pytest.raises(SpecMismatch) as e:
         net.load_weights(path, other)
     assert "layer 0" in str(e.value)
+
+
+@pytest.mark.parametrize("array, value", [(0, np.nan), (1, np.inf)])
+def test_non_finite_weights_rejected(tmp_path, tiny_net, array, value):
+    """A sealed file whose checksum holds but whose kernel (array 0) or bias
+    (array 1) holds a NaN or an infinity is refused when it is read."""
+    params = net.init_params(tiny_net, 1)
+    block = list(params.blocks[2])
+    block[array] = block[array].copy()
+    block[array].flat[-1] = value
+    params.blocks[2] = tuple(block)
+    path = tmp_path / "w.llw"
+    net.save_weights(tiny_net, params, path)
+    with pytest.raises(WeightsError, match="weight file holds a non-finite value"):
+        net.load_weights(path, tiny_net)
 
 
 def test_frozen_flags_round_trip(tmp_path, tiny_net):

@@ -41,9 +41,9 @@ def two_bar_set(n, edge=12, seed=0):
 @pytest.fixture(scope="module")
 def small_spec():
     layers = [
-        net.Conv(4, 3, 1, 1), net.Relu(),
-        net.Conv(6, 3, 1, 1), net.Relu(),
-        net.Pool(2, 2),
+        net.Conv(4, 3), net.Relu(),
+        net.Conv(6, 3), net.Relu(),
+        net.Pool(2),
         net.Flatten(), net.Dense(2),
     ]
     return net.NetworkSpec(layers, (1, 12, 12), 2)
