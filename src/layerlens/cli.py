@@ -24,7 +24,8 @@ from . import locmetrics as lm
 from . import network as net
 from . import numerics as nm
 from . import training as tr
-from .config import METHODS, ExperimentConfig, check_k, check_taps, load_config, shape_spec
+from .config import (ExperimentConfig, check_grid, check_k, check_methods, check_taps,
+                     load_config, shape_spec)
 from .errors import ConfigError, LayerlensError
 from .fileio import atomic_open
 from .seeding import derive_seed, make_rng
@@ -94,13 +95,6 @@ def _load_splits(cfg: ExperimentConfig, *names):
     return [dat.load_split_arrays(manifest, root, name) for name in names]
 
 
-def _build_spec(cfg: ExperimentConfig) -> net.NetworkSpec:
-    d, m = cfg["dataset"], cfg["model"]
-    return net.build_six_layer_net(
-        (d["channels"], d["image_edge"], d["image_edge"]),
-        d["class_count"], m["widths"], m["kernel"])
-
-
 def _taps(cfg: ExperimentConfig, flag: str | None) -> list[int]:
     """The taps a ``--taps`` flag names, by the config's rule; ``explain.taps`` without it."""
     if flag is None:
@@ -147,7 +141,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     (x_tr, y_tr, _), (x_va, y_va, _) = _load_splits(cfg, "train", "val")
     train = tr.LabelledSet(x_tr, y_tr)
     val = tr.LabelledSet(x_va, y_va) if len(x_va) else None
-    spec = _build_spec(cfg)
+    spec = cfg.spec
     scheme = args.scheme
 
     if scheme == "e2e":
@@ -199,25 +193,31 @@ def _save_heatmap(values: np.ndarray, path: Path) -> None:
 LIME_BATCH = 8
 
 
-def _image_maps(spec, params, ann, image, cfg, methods, taps, percentile):
+def _image_maps(params, ann, image, cfg, methods, taps, percentile):
     """``{(method, tap): (heatmap, binary mask)}`` for one image; pure, thread-safe.
 
-    Each method runs once: Grad-CAM at every tap from one forward and one
-    backward pass, saliency and LIME once for all taps. Grad-CAM and saliency
-    heatmaps are the smoothed maps, binarised at ``percentile``; LIME's is its
-    clipped patch-weight map, and its mask the selected patches.
+    Each method runs once: Grad-CAM at every tap and saliency share one forward
+    and one backward pass, and saliency and LIME give one map for all taps.
+    Grad-CAM and saliency heatmaps are the smoothed maps, binarised at
+    ``percentile``; LIME's is its clipped patch-weight map, and its mask the
+    selected patches.
     """
     def smoothed(amap):
         heat = ex.gaussian_smooth(amap, cfg["explain"]["sigma"]).values
         return heat, lm.binarize_percentile(heat, percentile)
 
     maps = {}
+    spec = cfg.spec
+    grad_taps = ((tuple(taps) if "grad_cam" in methods else ())
+                 + ((0,) if "saliency" in methods else ()))
+    if grad_taps:
+        acts, grads = net.backward_to_tap(spec, params, image[None], ann.label, grad_taps)
     if "grad_cam" in methods:
-        for tap, amap in ex.grad_cam(spec, params, image, ann.label, taps).items():
+        for tap, amap in ex.grad_cam(acts, grads, taps, image.shape[1:]).items():
             maps["grad_cam", tap] = smoothed(amap)
     if "saliency" in methods:
         maps.update(dict.fromkeys((("saliency", tap) for tap in taps),
-                                  smoothed(ex.saliency(spec, params, image, ann.label))))
+                                  smoothed(ex.saliency(grads[0][0]))))
     if "lime" in methods:
         lcfg = cfg["explain"]["lime"]
         grid = ex.superpixel_grid(image.shape[1:], lcfg["patch_edge"])
@@ -238,20 +238,12 @@ def _image_maps(spec, params, ann, image, cfg, methods, taps, percentile):
     return maps
 
 
-def _load_weights_for(cfg, path):
-    spec = _build_spec(cfg)
-    params = net.load_weights(path, spec)
-    return spec, params
-
-
 def cmd_explain(cfg: ExperimentConfig, args) -> int:
-    methods = args.methods.split(",") if args.methods else cfg["explain"]["methods"]
+    methods = (check_methods("--methods", args.methods.split(",")) if args.methods
+               else cfg["explain"]["methods"])
     taps = _taps(cfg, args.taps)
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"--methods: unknown method {m!r} (use {METHODS})")
     [(x, _, anns)] = _load_splits(cfg, "test")
-    spec, params = _load_weights_for(cfg, args.weights)
+    params = net.load_weights(args.weights, cfg.spec)
     percentile = cfg["explain"]["percentile"]
     edge = cfg["dataset"]["image_edge"]
 
@@ -263,7 +255,7 @@ def cmd_explain(cfg: ExperimentConfig, args) -> int:
     def one(item):
         ann, image = item
         gt = lm.rasterize_box(ann.box, (edge, edge))
-        maps = _image_maps(spec, params, ann, image, cfg, methods, taps, percentile)
+        maps = _image_maps(params, ann, image, cfg, methods, taps, percentile)
         out = []  # (method, tap, heatmap, metrics row)
         for method in methods:
             gsum = None
@@ -295,8 +287,8 @@ def cmd_explain(cfg: ExperimentConfig, args) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
     [(x, _, anns)] = _load_splits(cfg, "test")
-    spec, params_cl = _load_weights_for(cfg, args.weights_cl)
-    _, params_e2e = _load_weights_for(cfg, args.weights_e2e)
+    params_cl = net.load_weights(args.weights_cl, cfg.spec)
+    params_e2e = net.load_weights(args.weights_e2e, cfg.spec)
     methods = cfg["explain"]["methods"]
     taps = cfg["explain"]["taps"]
     percentile = cfg["explain"]["percentile"]
@@ -305,7 +297,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     def one(item):
         ann, image = item
         gt = lm.rasterize_box(ann.box, (edge, edge))
-        cl, e2e = (_image_maps(spec, params, ann, image, cfg, methods, taps, percentile)
+        cl, e2e = (_image_maps(params, ann, image, cfg, methods, taps, percentile)
                    for params in (params_cl, params_e2e))
         return [(ann.image_id, m, t, lm.iou(cl[m, t][1], gt), lm.iou(e2e[m, t][1], gt))
                 for m in methods for t in taps]
@@ -338,7 +330,8 @@ def _annotations_by_image(anns):
 
 
 def cmd_detect(cfg: ExperimentConfig, args) -> int:
-    spec, params = _load_weights_for(cfg, args.weights)
+    spec = cfg.spec
+    params = net.load_weights(args.weights, spec)
     dcfg = cfg["detect"]
     tap = args.tap if args.tap is not None else dcfg["tap"]
     head_seeds = args.head_seeds if args.head_seeds is not None else dcfg["head_seeds"]
@@ -348,9 +341,7 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     check_taps("--tap", [tap])
     if head_seeds < 1:
         raise ConfigError(f"--head-seeds: must be >= 1, got {head_seeds}")
-    if not 1 <= S <= min(spec.tap_shape(tap)[1:]):
-        raise ConfigError(f"detect.S = {S} does not fit the {spec.tap_shape(tap)[1:]} "
-                          f"feature map at tap {tap}")
+    check_grid(spec, S, tap)
 
     (x_tr, _, anns_tr), (x_va, _, anns_va), (x_te, _, anns_te) = _load_splits(
         cfg, "train", "val", "test")
@@ -410,7 +401,7 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
 
 def cmd_granulometry(cfg: ExperimentConfig, args) -> int:
     [(x, _, anns)] = _load_splits(cfg, "test")
-    spec, params = _load_weights_for(cfg, args.weights)
+    params = net.load_weights(args.weights, cfg.spec)
     taps = _taps(cfg, args.taps)
     percentile = cfg["granulometry"]["percentile"]
     max_size = cfg["granulometry"]["max_size"]
@@ -418,7 +409,7 @@ def cmd_granulometry(cfg: ExperimentConfig, args) -> int:
 
     def one(item):
         ann, image = item
-        maps = _image_maps(spec, params, ann, image, cfg, ["grad_cam"], taps, percentile)
+        maps = _image_maps(params, ann, image, cfg, ["grad_cam"], taps, percentile)
         rows, summaries = [], []
         for tap in taps:
             spectrum = lm.granulometry(maps["grad_cam", tap][1], max_size)

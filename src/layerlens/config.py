@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .data import SHAPE_KINDS, ShapeSpec
 from .errors import ConfigError, ShapeError, SpecError
+from .network import NetworkSpec, build_six_layer_net
 from .training import TrainConfig
 
 PRESETS = {
@@ -146,12 +147,31 @@ def _merge(schema: dict, given: dict, path: str = "") -> dict:
 
 
 def check_taps(where: str, taps: list[int]) -> list[int]:
-    """``taps`` unchanged if each is a tap of the six-layer net (1..6);
-    otherwise a ``ConfigError`` naming ``where``."""
-    for tap in taps:
+    """``taps`` unchanged if each is a tap of the six-layer net (1..6) and none
+    repeats; otherwise a ``ConfigError`` naming ``where``."""
+    for i, tap in enumerate(taps):
         if not 1 <= tap <= TAP_COUNT:
             raise ConfigError(f"{where}: tap {tap} out of range 1..{TAP_COUNT}")
+        if tap in taps[:i]:
+            raise ConfigError(f"{where}: tap {tap} repeated")
     return taps
+
+
+def check_methods(where: str, methods: list[str]) -> list[str]:
+    """``methods`` unchanged if each is one of ``METHODS``, once; else a ``ConfigError``."""
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise ConfigError(f"{where}: unknown method {m!r} (use {METHODS})")
+        if m in methods[:i]:
+            raise ConfigError(f"{where}: method {m!r} repeated")
+    return methods
+
+
+def check_grid(spec: NetworkSpec, S: int, tap: int) -> None:
+    """A ``ConfigError`` unless an S x S detection grid fits the feature map at ``tap``."""
+    hw = spec.tap_shape(tap)[1:]
+    if not 1 <= S <= min(hw):
+        raise ConfigError(f"detect.S = {S} does not fit the {hw} feature map at tap {tap}")
 
 
 def check_k(where: str, k: int) -> int:
@@ -174,7 +194,8 @@ def _require(where: str, value, ok: bool, rule: str) -> None:
         raise ConfigError(f"{where}: must be {rule}, got {value}")
 
 
-def _semantic_checks(cfg: dict) -> None:
+def _semantic_checks(cfg: dict) -> NetworkSpec:
+    """The config's network, once every semantic rule holds."""
     if len(cfg["model"]["widths"]) != TAP_COUNT:
         raise ConfigError(f"model.widths: exactly {TAP_COUNT} channel widths required")
     explain, lime, dcfg = cfg["explain"], cfg["explain"]["lime"], cfg["detect"]
@@ -210,9 +231,7 @@ def _semantic_checks(cfg: dict) -> None:
         _require(f"detect.{key}", dcfg[key], 0 <= dcfg[key] <= 1, "in [0, 1]")
     for key in ("lambda_coord", "lambda_noobj"):
         _require(f"detect.{key}", dcfg[key], dcfg[key] >= 0, ">= 0")
-    for m in explain["methods"]:
-        if m not in METHODS:
-            raise ConfigError(f"explain.methods: unknown method {m!r} (use {METHODS})")
+    check_methods("explain.methods", explain["methods"])
     check_k("train.k", cfg["train"]["k"])
     for section, trainer in [("train", "e2e"), ("train", "cascade"), ("train", "probe"),
                              ("detect", "train")]:
@@ -222,12 +241,20 @@ def _semantic_checks(cfg: dict) -> None:
             raise ConfigError(f"{section}.{trainer}: {e}") from None
     check_taps("explain.taps", explain["taps"])
     check_taps("detect.tap", [dcfg["tap"]])
+    try:
+        spec = build_six_layer_net((data["channels"], edge, edge), data["class_count"],
+                                   cfg["model"]["widths"], kernel)
+    except SpecError as e:
+        raise ConfigError(f"dataset.image_edge: {e}") from None
+    check_grid(spec, dcfg["S"], dcfg["tap"])
+    return spec
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
     hash: str
+    spec: NetworkSpec
 
     def __getitem__(self, key):
         return self.raw[key]
@@ -260,9 +287,9 @@ def load_config(source: str | Path, overrides: dict | None = None) -> Experiment
         raise ConfigError(f"config is not valid JSON: {e}") from None
     cfg = _merge(SCHEMA, given)
     cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    _semantic_checks(cfg)
+    spec = _semantic_checks(cfg)
     # jobs is an execution detail: outputs must not depend on worker count
     hashed = {k: v for k, v in cfg.items() if k != "jobs"}
     canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    return ExperimentConfig(cfg, digest)
+    return ExperimentConfig(cfg, digest, spec)

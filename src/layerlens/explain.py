@@ -1,7 +1,10 @@
 """Per-layer attribution maps: input-gradient saliency, Grad-CAM at any tap,
 and LIME over a square superpixel grid, plus Gaussian post-smoothing.
 
-All explainers are pure given an immutable model, so per-image calls can run
+Saliency and Grad-CAM turn the arrays of one ``network.backward_to_tap``
+pass into maps; they run no network themselves, so one pass to taps
+``(*taps, 0)`` serves both. LIME scores its perturbations through a black
+box the caller supplies. All explainers are pure, so per-image calls can run
 concurrently. Maps are nonnegative h x w arrays aligned to input pixels;
 coarser taps are bilinearly upsampled.
 """
@@ -13,19 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from . import network as net
 from . import numerics as nm
-from .errors import DegenerateDesign, ShapeError, SpecError
+from .errors import DegenerateDesign, ShapeError
 
 
 @dataclass
 class AttributionMap:
-    """Nonnegative heatmap over input pixels with its provenance tags."""
+    """Nonnegative heatmap over input pixels."""
 
     values: np.ndarray  # (h, w), float64, >= 0
-    method: str
-    tap: int
-    class_index: int
 
     def __post_init__(self):
         v = nm.as_f64(self.values)
@@ -58,20 +57,10 @@ def bilinear_resize(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             + wy * wx * v[np.ix_(y1, x1)])
 
 
-def _single_image(image) -> np.ndarray:
-    img = nm.as_f64(image)
-    if img.ndim == 3:
-        img = img[None]
-    if img.ndim != 4 or img.shape[0] != 1:
-        raise ShapeError(f"expected one image (c, h, w), got shape {np.shape(image)}")
-    return img
-
-
-def saliency(spec: net.NetworkSpec, params: net.ModelParams, image, class_index: int) -> AttributionMap:
-    """Absolute input gradient of the class score, channel-reduced by max."""
-    _, grads = net.backward_to_tap(spec, params, _single_image(image), class_index, (0,))
-    values = np.abs(grads[0][0]).max(axis=0)
-    return AttributionMap(values, "saliency", 0, class_index)
+def saliency(grad) -> AttributionMap:
+    """Absolute input gradient of the class score, channel-reduced by max;
+    ``grad`` is one image's (c, h, w) gradient at tap 0."""
+    return AttributionMap(np.abs(grad).max(axis=0))
 
 
 def cam_values(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
@@ -89,21 +78,13 @@ def cam_values(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     return np.maximum((alphas[:, None, None] * a).sum(axis=0), 0.0)
 
 
-def grad_cam(spec: net.NetworkSpec, params: net.ModelParams, image, class_index: int,
-             taps) -> dict[int, AttributionMap]:
+def grad_cam(acts: dict, grads: dict, taps, out_shape) -> dict[int, AttributionMap]:
     """Gradient-weighted class activation maps at each of ``taps``, upsampled
-    to the input: ``{tap: AttributionMap}`` from one forward and one backward
-    pass."""
-    for tap in taps:
-        if not 1 <= tap <= spec.tap_count:
-            raise SpecError(f"tap {tap} out of range 1..{spec.tap_count}")
-    acts, grads = net.backward_to_tap(spec, params, _single_image(image), class_index, taps)
-    h, w = spec.input_shape[1:]
-    maps = {}
-    for tap in taps:
-        cam = cam_values(acts[tap][0], grads[tap][0])
-        maps[tap] = AttributionMap(bilinear_resize(cam, h, w), "grad_cam", tap, class_index)
-    return maps
+    to ``out_shape``: ``{tap: AttributionMap}`` from the ``(acts, grads)`` of a
+    ``backward_to_tap`` call, whose first image they explain."""
+    h, w = out_shape
+    return {tap: AttributionMap(bilinear_resize(cam_values(acts[tap][0], grads[tap][0]), h, w))
+            for tap in taps}
 
 
 def gaussian_smooth(amap: AttributionMap, sigma: float) -> AttributionMap:
@@ -115,9 +96,9 @@ def gaussian_smooth(amap: AttributionMap, sigma: float) -> AttributionMap:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
-        return AttributionMap(amap.values.copy(), amap.method, amap.tap, amap.class_index)
+        return AttributionMap(amap.values.copy())
     out = ndimage.gaussian_filter(amap.values, sigma=sigma, mode="reflect")
-    return AttributionMap(np.maximum(out, 0.0), amap.method, amap.tap, amap.class_index)
+    return AttributionMap(np.maximum(out, 0.0))
 
 
 # ---------------------------------------------------------------------------

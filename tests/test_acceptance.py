@@ -107,7 +107,8 @@ def test_criterion_2_grad_cam_conformance():
         params = net.init_params(spec, trial)
         img = rng.standard_normal((1, edge, edge))
         cls = int(rng.integers(2))
-        amap = ex.grad_cam(spec, params, img, cls, (1,))[1]
+        amap = ex.grad_cam(*net.backward_to_tap(spec, params, img[None], cls, (1,)),
+                           (1,), (edge, edge))[1]
         assert amap.values.min() >= 0.0
 
         _, taps = net.forward_with_taps(spec, params, img[None], depth=1)

@@ -140,6 +140,12 @@ def test_config_flag_overrides_win(tmp_path):
     ({"dataset": {"class_count": 0}}, "dataset.class_count: must be in 1..4"),
     ({"dataset": {"split_fractions": [0.5, 0.2, 0.2]}}, "dataset.split_fractions"),
     ({"dataset": {"split_fractions": [1.2, -0.1, -0.1]}}, "dataset.split_fractions"),
+    ({"dataset": {"image_edge": 6, "size_range": [2, 4]}, "explain": {"lime": {"patch_edge": 4}}},
+     "spatial collapse"),
+    ({"detect": {"S": 9, "tap": 6}}, "detect.S = 9 does not fit the (8, 8) feature map at tap 6"),
+    ({"explain": {"taps": [2, 2]}}, "explain.taps: tap 2 repeated"),
+    ({"explain": {"methods": ["grad_cam", "grad_cam"]}},
+     "explain.methods: method 'grad_cam' repeated"),
 ])
 def test_config_semantic_errors(tmp_path, section, error):
     path = tmp_path / "bad.json"
@@ -196,10 +202,7 @@ def test_train_without_dataset_exit_1(tmp_path, capsys):
 
 def test_weights_provenance(pipeline):
     cfg_path, out = pipeline
-    cfg = load_config(cfg_path)
-    from layerlens.cli import _build_spec
-
-    spec = _build_spec(cfg)
+    spec = load_config(cfg_path).spec
     p_e2e = net.load_weights(out / "weights_e2e.llw", spec)
     assert p_e2e.provenance.scheme == "E2E"
     p_cl = net.load_weights(out / "weights_cl_k6.llw", spec)
@@ -276,16 +279,15 @@ def test_explain_outputs_and_equivalence(pipeline):
 
     # spot-check five rows against direct library calls
     cfg = load_config(cfg_path)
-    from layerlens.cli import _build_spec
-
-    spec = _build_spec(cfg)
+    spec = cfg.spec
     params = net.load_weights(out / "weights_e2e.llw", spec)
     by_id = {a.image_id: a for a in manifest.annotations}
     for row in rows[:5]:
         image_id, method, tap = row[0], row[1], int(row[2])
         ann = by_id[image_id]
         image = dat.read_image(out / "dataset" / ann.path)
-        amap = ex.grad_cam(spec, params, image, ann.label, (tap,))[tap]
+        amap = ex.grad_cam(*net.backward_to_tap(spec, params, image[None], ann.label, (tap,)),
+                           (tap,), (32, 32))[tap]
         smooth = ex.gaussian_smooth(amap, cfg["explain"]["sigma"])
         mask = lm.binarize_percentile(smooth.values, cfg["explain"]["percentile"])
         gt = lm.rasterize_box(ann.box, (32, 32))
@@ -357,7 +359,7 @@ def test_saved_head_reproduces_detections(pipeline):
     det_dir = out / "detect_weights_cl_k6_tap3"
     cfg = load_config(cfg_path)
     dcfg, edge = cfg["detect"], cfg["dataset"]["image_edge"]
-    spec = cli._build_spec(cfg)
+    spec = cfg.spec
     [(x_te, _, anns_te)] = cli._load_splits(cfg, "test")
 
     head = dt.load_head(det_dir / "head_seed0.llh")
@@ -564,7 +566,7 @@ def test_explain_non_finite_weights_exit_1(pipeline, tmp_path, capsys):
     """A weight file whose checksum holds but whose layer-0 kernel holds a NaN
     is refused on reading, before LIME writes a heatmap of NaNs."""
     cfg_path, out = pipeline
-    spec = cli._build_spec(load_config(cfg_path))
+    spec = load_config(cfg_path).spec
     params = net.load_weights(out / "weights_e2e.llw", spec)
     kernel, bias = params.blocks[0]
     kernel = kernel.copy()
@@ -580,7 +582,7 @@ def test_explain_non_finite_weights_exit_1(pipeline, tmp_path, capsys):
     assert not list((out / "explain_weights_nan").rglob("*.pgm"))
 
 
-def test_explain_one_backward_per_image_and_method(pipeline, tmp_path, monkeypatch):
+def test_explain_one_backward_per_image(pipeline, tmp_path, monkeypatch):
     cfg_path, out = pipeline
     weights = tmp_path / "weights_count.llw"
     weights.write_bytes((out / "weights_e2e.llw").read_bytes())
@@ -594,7 +596,7 @@ def test_explain_one_backward_per_image_and_method(pipeline, tmp_path, monkeypat
     assert main(["--config", str(cfg_path), "explain", "--weights", str(weights),
                  "--methods", "grad_cam,saliency", "--taps", "1,2,3,4,5,6"]) == 0
     n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
-    assert sorted(calls) == [(0,)] * n_test + [(1, 2, 3, 4, 5, 6)] * n_test
+    assert calls == [(1, 2, 3, 4, 5, 6, 0)] * n_test
     _, _, rows = read_csv(out / "explain_weights_count" / "metrics.csv")
     assert len(rows) == n_test * 6 * 2
 
@@ -627,12 +629,11 @@ def test_batched_lime_equals_per_sample_lime(pipeline, tmp_path):
     [(x, _, anns)] = cli._load_splits(load_config(cfg_path), "test")
     cfg = load_config(make_config(tmp_path, model={"widths": [8, 8, 16, 16, 32, 32]}))
     assert cfg["explain"]["lime"]["n_samples"] % cli.LIME_BATCH  # a ragged last batch
-    spec = cli._build_spec(cfg)
     for seed in (0, 1):
-        params = net.init_params(spec, seed)
+        params = net.init_params(cfg.spec, seed)
         for ann, image in zip(anns, x):
-            maps = cli._image_maps(spec, params, ann, image, cfg, ["lime"], [2, 4], 50.0)
-            heat, mask = _per_sample_lime(spec, params, ann, image, cfg)
+            maps = cli._image_maps(params, ann, image, cfg, ["lime"], [2, 4], 50.0)
+            heat, mask = _per_sample_lime(cfg.spec, params, ann, image, cfg)
             for tap in (2, 4):
                 assert np.array_equal(maps["lime", tap][0], heat)
                 assert np.array_equal(maps["lime", tap][1], mask)
@@ -721,7 +722,9 @@ def test_jobs_capped_at_work_items(pipeline, tmp_path, monkeypatch):
     ("explain", ["--taps", "9"], "--taps: tap 9 out of range 1..6"),
     ("granulometry", ["--taps", "2,9"], "--taps: tap 9 out of range 1..6"),
     ("explain", ["--taps", "0", "--methods", "saliency"], "--taps: tap 0 out of range 1..6"),
-], ids=["explain-abc", "granulometry-2,x", "explain-9", "granulometry-2,9", "explain-0"])
+    ("explain", ["--taps", "3,3"], "--taps: tap 3 repeated"),
+], ids=["explain-abc", "granulometry-2,x", "explain-9", "granulometry-2,9", "explain-0",
+        "explain-3,3"])
 def test_bad_taps_flag_exit_2(pipeline, monkeypatch, capsys, verb, flags, error):
     """``--taps`` follows the rule of the config's ``explain.taps``."""
     cfg_path, out = pipeline

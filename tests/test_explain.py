@@ -1,10 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from layerlens import cli
 from layerlens import explain as ex
+from layerlens import locmetrics as lm
 from layerlens import network as net
 from layerlens import numerics as nm
+from layerlens.config import load_config
 from layerlens.errors import DegenerateDesign, ShapeError
 from layerlens.seeding import make_rng
 
@@ -27,6 +32,11 @@ def conv_spec():
     return net.NetworkSpec(layers, (1, 8, 8), 2)
 
 
+def _input_grad(spec, params, image, cls):
+    """One image's (c, h, w) input gradient of the class-``cls`` score."""
+    return net.backward_to_tap(spec, params, image[None], cls, (0,))[1][0][0]
+
+
 # ---------------------------------------------------------------------------
 # saliency
 
@@ -34,16 +44,15 @@ def conv_spec():
 def test_saliency_of_linear_model_is_abs_weights(linear_spec):
     params = net.init_params(linear_spec, 0)
     w, b = params.blocks[1]
-    amap = ex.saliency(linear_spec, params, np.zeros((1, 4, 4)), class_index=1)
+    amap = ex.saliency(_input_grad(linear_spec, params, np.zeros((1, 4, 4)), 1))
     assert np.allclose(amap.values, np.abs(w[1]).reshape(4, 4))
-    assert amap.method == "saliency" and amap.tap == 0
 
 
 def test_saliency_of_constant_model_is_zero(linear_spec):
     params = net.init_params(linear_spec, 0)
     w, b = params.blocks[1]
     params.blocks[1] = (np.zeros_like(w), b)
-    amap = ex.saliency(linear_spec, params, np.ones((1, 4, 4)), 0)
+    amap = ex.saliency(_input_grad(linear_spec, params, np.ones((1, 4, 4)), 0))
     assert np.array_equal(amap.values, np.zeros((4, 4)))
 
 
@@ -52,8 +61,8 @@ def test_saliency_matches_finite_difference_perturbation(conv_spec):
     rng = make_rng(2)
     img = rng.uniform(0.1, 1.0, (1, 8, 8))
     cls = 1
-    amap = ex.saliency(conv_spec, params, img, cls)
-    grad = net.backward_to_tap(conv_spec, params, img[None], cls, (0,))[1][0][0]
+    grad = _input_grad(conv_spec, params, img, cls)
+    amap = ex.saliency(grad)
 
     def score(x):
         out, _ = net.forward_with_taps(conv_spec, params, x[None])
@@ -68,12 +77,6 @@ def test_saliency_matches_finite_difference_perturbation(conv_spec):
         fd = (score(xp) - score(xm)) / 2e-5
         assert abs(grad[0, r, c] - fd) <= 1e-4 * max(abs(fd), 1.0)
         assert amap.values[r, c] == pytest.approx(abs(grad[0, r, c]))
-
-
-def test_saliency_invalid_class(linear_spec):
-    params = net.init_params(linear_spec, 0)
-    with pytest.raises(Exception):
-        ex.saliency(linear_spec, params, np.zeros((1, 4, 4)), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,8 @@ def test_grad_cam_equals_brute_force_on_model(conv_spec):
     rng = make_rng(6)
     img = rng.uniform(0, 1, (1, 8, 8))
     tap, cls = 2, 0
-    amap = ex.grad_cam(conv_spec, params, img, cls, (tap,))[tap]
+    amap = ex.grad_cam(*net.backward_to_tap(conv_spec, params, img[None], cls, (tap,)),
+                       (tap,), (8, 8))[tap]
     assert amap.values.shape == (8, 8)
     assert amap.values.min() >= 0
 
@@ -139,14 +143,9 @@ def test_grad_cam_nonnegative_random_models():
         spec = net.NetworkSpec(layers, (1, 6, 6), 2)
         params = net.init_params(spec, trial)
         img = rng.standard_normal((1, 6, 6))
-        amap = ex.grad_cam(spec, params, img, int(rng.integers(2)), (1,))[1]
+        acts, grads = net.backward_to_tap(spec, params, img[None], int(rng.integers(2)), (1,))
+        amap = ex.grad_cam(acts, grads, (1,), (6, 6))[1]
         assert amap.values.min() >= 0
-
-
-def test_grad_cam_invalid_tap(conv_spec):
-    params = net.init_params(conv_spec, 0)
-    with pytest.raises(Exception):
-        ex.grad_cam(conv_spec, params, np.zeros((1, 8, 8)), 0, (9,))
 
 
 def _two_pass_grad(spec, params, batch, cls, tap):
@@ -163,8 +162,23 @@ def _two_pass_grad(spec, params, batch, cls, tap):
 
 
 def test_one_pass_grad_cam_equals_two_pass_per_tap(monkeypatch):
-    spec = net.build_six_layer_net((1, 32, 32), 3, [8, 8, 16, 16, 32, 32])
-    forward = net.forward_with_taps
+    """On the preset net, ``cli._image_maps`` gives every Grad-CAM and saliency
+    heatmap and mask from one backward pass, bit for bit those of a separate
+    forward and backward per tap and one more for saliency."""
+    cfg = load_config("preset-localise")
+    spec, sigma, pct = cfg.spec, cfg["explain"]["sigma"], cfg["explain"]["percentile"]
+    taps = [1, 2, 3, 4, 5, 6]
+    forward, backward = net.forward_with_taps, net.backward_to_tap
+    calls = []
+
+    def counted(*args):
+        calls.append(args[4])
+        return backward(*args)
+
+    def smoothed(values):
+        heat = ex.gaussian_smooth(ex.AttributionMap(values), sigma).values
+        return heat, lm.binarize_percentile(heat, pct)
+
     rng = make_rng(10)
     for seed in range(4):
         params = net.init_params(spec, seed)
@@ -173,21 +187,27 @@ def test_one_pass_grad_cam_equals_two_pass_per_tap(monkeypatch):
             # reference: taps from a forward to each depth, gradients from a
             # separate full forward and backward per tap
             refs = {}
-            for tap in range(1, 7):
+            for tap in taps:
                 _, acts = forward(spec, params, img[None], depth=tap)
                 g = _two_pass_grad(spec, params, img[None], cls, tap)
-                refs[tap] = ex.bilinear_resize(ex.cam_values(acts[tap][0], g[0]), 32, 32)
+                refs["grad_cam", tap] = smoothed(
+                    ex.bilinear_resize(ex.cam_values(acts[tap][0], g[0]), 32, 32))
             g0 = _two_pass_grad(spec, params, img[None], cls, 0)
+            refs.update(dict.fromkeys((("saliency", t) for t in taps),
+                                      smoothed(np.abs(g0[0]).max(axis=0))))
 
             monkeypatch.setattr(net, "forward_with_taps", None)  # one pass only
-            maps = ex.grad_cam(spec, params, img, cls, range(1, 7))
-            sal = ex.saliency(spec, params, img, cls)
+            monkeypatch.setattr(net, "backward_to_tap", counted)
+            calls.clear()
+            maps = cli._image_maps(params, SimpleNamespace(label=cls), img, cfg,
+                                   ["grad_cam", "saliency"], taps, pct)
             monkeypatch.setattr(net, "forward_with_taps", forward)
-            assert sorted(maps) == list(range(1, 7))
-            for tap in range(1, 7):
-                assert maps[tap].tap == tap
-                assert np.array_equal(maps[tap].values, refs[tap])
-            assert np.array_equal(sal.values, np.abs(g0[0]).max(axis=0))
+            monkeypatch.setattr(net, "backward_to_tap", backward)
+            assert calls == [(*taps, 0)]
+            assert sorted(maps) == sorted(refs)
+            for key, (heat, mask) in refs.items():
+                assert np.array_equal(maps[key][0], heat)
+                assert np.array_equal(maps[key][1], mask)
 
 
 def test_backward_to_tap_records_each_tap(conv_spec):
@@ -208,7 +228,7 @@ def test_backward_to_tap_records_each_tap(conv_spec):
 
 def test_smooth_sigma_zero_is_identity():
     rng = make_rng(8)
-    amap = ex.AttributionMap(rng.uniform(0, 1, (6, 6)), "saliency", 0, 0)
+    amap = ex.AttributionMap(rng.uniform(0, 1, (6, 6)))
     out = ex.gaussian_smooth(amap, 0.0)
     assert np.array_equal(out.values, amap.values)
     assert out.values is not amap.values
@@ -217,7 +237,7 @@ def test_smooth_sigma_zero_is_identity():
 def test_smooth_impulse_preserves_mass():
     v = np.zeros((9, 9))
     v[4, 4] = 1.0
-    out = ex.gaussian_smooth(ex.AttributionMap(v, "m", 0, 0), 1.5)
+    out = ex.gaussian_smooth(ex.AttributionMap(v), 1.5)
     assert abs(out.values.sum() - 1.0) < 1e-9
     assert out.values.min() >= 0
     assert out.values[4, 4] < 1.0
@@ -225,7 +245,7 @@ def test_smooth_impulse_preserves_mass():
 
 def test_smooth_constant_map_unchanged():
     v = np.full((7, 7), 0.37)
-    out = ex.gaussian_smooth(ex.AttributionMap(v, "m", 0, 0), 2.0)
+    out = ex.gaussian_smooth(ex.AttributionMap(v), 2.0)
     assert np.abs(out.values - 0.37).max() < 1e-9
 
 
@@ -233,7 +253,7 @@ def test_smooth_constant_map_unchanged():
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_smooth_mass_and_sign_properties(sigma, seed):
     v = make_rng(seed).uniform(0, 1, (8, 8))
-    out = ex.gaussian_smooth(ex.AttributionMap(v, "m", 0, 0), sigma)
+    out = ex.gaussian_smooth(ex.AttributionMap(v), sigma)
     assert abs(out.values.sum() - v.sum()) < 1e-9
     assert out.values.min() >= 0
 

@@ -235,6 +235,13 @@ def test_backward_invalid_tap(tiny_net):
         net.backward_to_tap(tiny_net, params, np.zeros((1, 1, 8, 8)), 0, taps=(3,))
 
 
+def test_backward_invalid_class(tiny_net):
+    params = net.init_params(tiny_net, 0)
+    for class_index in (-1, 3):  # tiny_net has classes 0..2
+        with pytest.raises(SpecError, match="class index"):
+            net.backward_to_tap(tiny_net, params, np.zeros((1, 1, 8, 8)), class_index, (0,))
+
+
 def test_aux_head_forward_backward(tiny_net):
     head = net.init_aux_head(tiny_net, tap=2, seed=11)
     rng = make_rng(12)
