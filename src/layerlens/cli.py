@@ -325,10 +325,6 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _annotations_by_image(anns):
-    return [[(a.box, a.label)] for a in anns]
-
-
 def cmd_detect(cfg: ExperimentConfig, args) -> int:
     spec = cfg.spec
     params = net.load_weights(args.weights, spec)
@@ -359,12 +355,11 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     configs = [tr.TrainConfig(**dcfg["train"], seed=derive_seed(cfg.seed, f"detect:{tap}:{i}"))
                for i in range(head_seeds)]
     trained = dt.train_detection_head(
-        spec, tap, train_feats, _annotations_by_image(anns_tr), S, B, configs,
-        val_feats=val_feats,
-        val_annotations=_annotations_by_image(anns_va) if len(x_va) else None,
+        spec, tap, train_feats, [a.box for a in anns_tr], S, B, configs,
+        val_feats=val_feats, val_boxes=[a.box for a in anns_va],
         lambda_coord=dcfg["lambda_coord"], lambda_noobj=dcfg["lambda_noobj"])
     reports, first_detections = [], None
-    for i, (head, _rep) in enumerate(trained):
+    for i, head in enumerate(trained):
         dt.save_head(head, out_root / f"head_seed{i}.llh")
 
         raw = dt.head_raw_grids(head, test_feats)

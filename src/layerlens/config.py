@@ -225,8 +225,9 @@ def _semantic_checks(cfg: dict) -> NetworkSpec:
     _require("explain.lime.ridge_lambda", lime["ridge_lambda"], lime["ridge_lambda"] > 0, "> 0")
     _require("explain.lime.keep_prob", lime["keep_prob"], 0 < lime["keep_prob"] < 1, "in (0, 1)")
     edge = data["image_edge"]
-    _require("explain.lime.patch_edge", lime["patch_edge"], 1 <= lime["patch_edge"] <= edge,
-             f"in 1..{edge} (dataset.image_edge)")
+    # one patch admits only the all-on and all-off masks: LIME localises nothing
+    _require("explain.lime.patch_edge", lime["patch_edge"], 1 <= lime["patch_edge"] <= edge // 2,
+             f"in 1..{edge // 2} (dataset.image_edge // 2)")
     for key in ("nms_iou", "conf_threshold"):
         _require(f"detect.{key}", dcfg[key], 0 <= dcfg[key] <= 1, "in [0, 1]")
     for key in ("lambda_coord", "lambda_noobj"):

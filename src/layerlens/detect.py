@@ -8,9 +8,11 @@ Both are linear, so the head runs as a 1 x 1 conv on each cell's mean patch
 (``pooled_patches``). Per cell each of B box slots predicts (x, y, w, h,
 confidence) through a sigmoid squash, plus per-cell class scores.
 
-The coordinate loss is squared error on the cell-relative centre and on the
-square roots of width/height, restricted to responsible cells (the cell
-containing an object's centre owns it). Evaluation: greedy NMS, then AP as
+Every image carries one labelled box, encoded as (obj, coords, class_ids)
+grid arrays (``encode_targets``): the cell containing the box centre is
+responsible for it. The coordinate loss is squared error on the
+cell-relative centre and on the square roots of width/height, restricted to
+responsible cells. Evaluation: greedy NMS, then AP as
 the area under the all-point interpolated precision-recall curve, averaged
 over classes and over an IOU-threshold schedule.
 """
@@ -18,7 +20,6 @@ over classes and over an IOU-threshold schedule.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,47 +36,30 @@ from .training import TrainConfig, fit
 # target encoding
 
 
-@dataclass
-class YoloTarget:
-    """Per-cell regression targets for one image.
+def encode_targets(boxes: list[GtBox], S: int, image_shape: tuple[int, int]):
+    """Grid targets of one labelled ``GtBox`` per image: (obj, coords,
+    class_ids) of shapes (n, S, S), (n, S, S, 4) and (n, S, S).
 
-    Exactly one cell is responsible per object: the cell containing the box
-    centre (half-open cells). ``coords`` rows hold (x_rel, y_rel, w_norm,
-    h_norm): centre relative to the cell in [0, 1), extent relative to the
-    image in (0, 1].
+    The cell containing the box centre (half-open cells) is responsible for
+    it. Its ``coords`` row holds (x_rel, y_rel, w_norm, h_norm): centre
+    relative to the cell in [0, 1), extent relative to the image in (0, 1];
+    its class is the box's label.
     """
-
-    S: int
-    image_shape: tuple[int, int]  # (h, w)
-    obj: np.ndarray        # (S, S) bool
-    coords: np.ndarray     # (S, S, 4)
-    class_ids: np.ndarray  # (S, S) int
-    dropped: int = 0       # objects discarded because their centre cell was taken
-
-
-def encode_targets(annotations, S: int, image_shape: tuple[int, int]) -> YoloTarget:
-    """annotations: iterable of (GtBox, class_id) for one image."""
     ih, iw = image_shape
-    obj = np.zeros((S, S), dtype=bool)
-    coords = np.zeros((S, S, 4))
-    class_ids = np.zeros((S, S), dtype=np.int64)
-    dropped = 0
+    n = len(boxes)
+    obj = np.zeros((n, S, S), dtype=bool)
+    coords = np.zeros((n, S, S, 4))
+    class_ids = np.zeros((n, S, S), dtype=np.int64)
     cell_h, cell_w = ih / S, iw / S
-    for box, class_id in annotations:
+    for i, box in enumerate(boxes):
         box.check_bounds(image_shape)
         cx, cy = box.x + box.w / 2, box.y + box.h / 2
         col = min(int(cx / cell_w), S - 1)
         row = min(int(cy / cell_h), S - 1)
-        if obj[row, col]:
-            dropped += 1
-            warnings.warn(
-                f"object centre collides with an earlier object in cell "
-                f"({row}, {col}); dropping it", stacklevel=2)
-            continue
-        obj[row, col] = True
-        coords[row, col] = (cx / cell_w - col, cy / cell_h - row, box.w / iw, box.h / ih)
-        class_ids[row, col] = class_id
-    return YoloTarget(S, image_shape, obj, coords, class_ids, dropped)
+        obj[i, row, col] = True
+        coords[i, row, col] = (cx / cell_w - col, cy / cell_h - row, box.w / iw, box.h / ih)
+        class_ids[i, row, col] = box.label
+    return obj, coords, class_ids
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +94,6 @@ def coord_loss_arrays(pred: np.ndarray, obj: np.ndarray, coords: np.ndarray):
     loss_wh = float((mask[..., None] * droot ** 2).sum())
     d_pred[..., 2:4] = mask[..., None] * (-droot / np.sqrt(safe_pred))
     return loss_xy + loss_wh, d_pred
-
-
-def yolo_coord_loss(pred: np.ndarray, target: YoloTarget):
-    """Coordinate regression loss for one image; returns (loss, d_pred).
-
-    pred is the post-squash (S, S, B, 4) array of (x_rel, y_rel, w, h).
-    """
-    pred = nm.as_f64(pred)
-    if pred.ndim != 4 or pred.shape[:2] != (target.S, target.S) or pred.shape[3] != 4:
-        raise ShapeError(
-            f"pred shape {pred.shape} incompatible with S={target.S} (want (S, S, B, 4))")
-    return coord_loss_arrays(pred, target.obj, target.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +146,6 @@ class DetectHead:
     bias: np.ndarray
     feat_mean: np.ndarray  # (tap_channels,) train-split channel means
     feat_std: np.ndarray   # (tap_channels,) train-split channel stds; 1 where constant
-
-
-@dataclass
-class HeadReport:
-    train_losses: list[float] = field(default_factory=list)
-    val_losses: list[float] = field(default_factory=list)
 
 
 def _sigmoid(x):
@@ -281,38 +247,27 @@ def _head_loss(head: DetectHead, q, obj, coords, class_ids,
     return total, d_kernel.reshape(head.kernel.shape), d_bias
 
 
-def encode_batch(annotations_per_image, S, image_shape):
-    """Stacks per-image targets into batch arrays; returns (obj, coords, cls)."""
-    targets = [encode_targets(a, S, image_shape) for a in annotations_per_image]
-    obj = np.stack([t.obj for t in targets])
-    coords = np.stack([t.coords for t in targets])
-    class_ids = np.stack([t.class_ids for t in targets])
-    return obj, coords, class_ids
-
-
 def train_detection_head(
     spec: net.NetworkSpec,
     tap: int,
     feats: np.ndarray,
-    annotations_per_image,
+    boxes: list[GtBox],
     S: int,
     B: int,
     configs: list[TrainConfig],
     val_feats: np.ndarray | None = None,
-    val_annotations=None,
+    val_boxes: list[GtBox] | None = None,
     lambda_coord: float = 5.0,
     lambda_noobj: float = 0.5,
-) -> list[tuple[DetectHead, HeadReport]]:
+) -> list[DetectHead]:
     """Fit one conv head per config (one per head seed), in order, on the
     features a frozen backbone produced at ``tap`` (``cache_frozen_features``).
     The targets, the channel statistics of ``feats`` and each split's pooled
     patches do not depend on the seed, so they are built once for every head.
     Each head stores those statistics and learns on features standardised by
     them, so its step size does not depend on the scale of the tap."""
-    ih, iw = spec.input_shape[1:]
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        obj, coords, class_ids = encode_batch(annotations_per_image, S, (ih, iw))
+    image_shape = spec.input_shape[1:]
+    obj, coords, class_ids = encode_targets(boxes, S, image_shape)
     stats = fit_feature_stats(feats)
     heads = []
     for config in configs:
@@ -326,7 +281,7 @@ def train_detection_head(
     q = patches(feats)
     has_val = val_feats is not None and len(val_feats)
     if has_val:
-        val_obj, val_coords, val_cls = encode_batch(val_annotations, S, (ih, iw))
+        val_obj, val_coords, val_cls = encode_targets(val_boxes, S, image_shape)
         val_q = patches(val_feats)
 
     def train_one(head, config):
@@ -340,10 +295,12 @@ def train_detection_head(
                               lambda_coord, lambda_noobj, want_grads=False)[0]
 
         rng = make_rng(derive_seed(config.seed, f"order:detect{tap}"))
-        return head, HeadReport(*fit(step, len(feats), config, rng, val_loss if has_val else None,
-                                     f"detection head at tap {tap}"))
+        fit(step, len(feats), config, rng, val_loss if has_val else None,
+            f"detection head at tap {tap}")
 
-    return [train_one(head, config) for head, config in zip(heads, configs)]
+    for head, config in zip(heads, configs):
+        train_one(head, config)
+    return heads
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,15 @@ def test_criterion_1_gradient_correctness():
             lambda v: nm.softmax_cross_entropy(v.ravel(), label)[0], s, 1e-6)) < 1e-5
 
         S, B = 3, 2
-        boxes = [(GtBox(int(rng.integers(0, 20)), int(rng.integers(0, 20)),
-                        int(rng.integers(4, 12)), int(rng.integers(4, 12))), 0)]
-        target = dt.encode_targets(boxes, S, (32, 32))
+        boxes = [GtBox(int(rng.integers(0, 20)), int(rng.integers(0, 20)),
+                       int(rng.integers(4, 12)), int(rng.integers(4, 12)))]
+        obj, coords, _ = dt.encode_targets(boxes, S, (32, 32))
         pred = rng.uniform(0.1, 0.9, (S, S, B, 4))
-        _, grad = dt.yolo_coord_loss(pred, target)
+        _, grad = dt.coord_loss_arrays(pred[None], obj, coords)
         fd = nm.finite_diff_grad(
-            lambda p: dt.yolo_coord_loss(p.reshape(S, S, B, 4), target)[0], pred, 1e-6)
-        assert rel_err(grad, fd) < 1e-5
+            lambda p: dt.coord_loss_arrays(p.reshape(S, S, B, 4)[None], obj, coords)[0],
+            pred, 1e-6)
+        assert rel_err(grad[0], fd) < 1e-5
     _ok(1, "gradient correctness, 10 seeds per op")
 
 

@@ -123,7 +123,7 @@ def test_config_flag_overrides_win(tmp_path):
     ({"explain": {"lime": {"keep_prob": 1.0}}}, "explain.lime.keep_prob"),
     ({"explain": {"lime": {"top_k": 0}}}, "explain.lime.top_k"),
     ({"explain": {"lime": {"patch_edge": 0}}}, "explain.lime.patch_edge"),
-    ({"explain": {"lime": {"patch_edge": 33}}}, "explain.lime.patch_edge: must be in 1..32"),
+    ({"explain": {"lime": {"patch_edge": 33}}}, "explain.lime.patch_edge: must be in 1..16"),
     ({"detect": {"nms_iou": -1}}, "detect.nms_iou"),
     ({"detect": {"conf_threshold": 1.5}}, "detect.conf_threshold"),
     ({"detect": {"lambda_coord": -1}}, "detect.lambda_coord"),
@@ -140,12 +140,14 @@ def test_config_flag_overrides_win(tmp_path):
     ({"dataset": {"class_count": 0}}, "dataset.class_count: must be in 1..4"),
     ({"dataset": {"split_fractions": [0.5, 0.2, 0.2]}}, "dataset.split_fractions"),
     ({"dataset": {"split_fractions": [1.2, -0.1, -0.1]}}, "dataset.split_fractions"),
-    ({"dataset": {"image_edge": 6, "size_range": [2, 4]}, "explain": {"lime": {"patch_edge": 4}}},
+    ({"dataset": {"image_edge": 6, "size_range": [2, 4]}, "explain": {"lime": {"patch_edge": 3}}},
      "spatial collapse"),
     ({"detect": {"S": 9, "tap": 6}}, "detect.S = 9 does not fit the (8, 8) feature map at tap 6"),
     ({"explain": {"taps": [2, 2]}}, "explain.taps: tap 2 repeated"),
     ({"explain": {"methods": ["grad_cam", "grad_cam"]}},
      "explain.methods: method 'grad_cam' repeated"),
+    ({"explain": {"lime": {"patch_edge": 17}}},
+     "explain.lime.patch_edge: must be in 1..16 (dataset.image_edge // 2), got 17"),
 ])
 def test_config_semantic_errors(tmp_path, section, error):
     path = tmp_path / "bad.json"

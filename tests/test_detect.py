@@ -26,65 +26,74 @@ from layerlens.training import TrainConfig, cache_frozen_features
 
 
 def test_encode_center_cell_half_open():
-    target = dt.encode_targets([(GtBox(12, 12, 8, 8), 0)], S=2, image_shape=(32, 32))
+    obj, _, _ = dt.encode_targets([GtBox(12, 12, 8, 8)], S=2, image_shape=(32, 32))
     # centre (16, 16) lies exactly on the cell boundary -> cell (1, 1)
-    assert target.obj[1, 1]
-    assert target.obj.sum() == 1
+    assert obj[0, 1, 1]
+    assert obj[0].sum() == 1
 
 
 def test_encode_full_image_box():
-    target = dt.encode_targets([(GtBox(0, 0, 32, 32), 1)], S=4, image_shape=(32, 32))
-    row, col = np.argwhere(target.obj)[0]
-    assert (target.coords[row, col, 2], target.coords[row, col, 3]) == (1.0, 1.0)
+    obj, coords, _ = dt.encode_targets([GtBox(0, 0, 32, 32, 1)], S=4, image_shape=(32, 32))
+    row, col = np.argwhere(obj[0])[0]
+    assert (coords[0, row, col, 2], coords[0, row, col, 3]) == (1.0, 1.0)
 
 
-def test_encode_collision_drops_later_with_warning():
-    anns = [(GtBox(1, 1, 4, 4), 0), (GtBox(2, 2, 4, 4), 1)]
-    with pytest.warns(UserWarning):
-        target = dt.encode_targets(anns, S=2, image_shape=(32, 32))
-    assert target.dropped == 1
-    assert target.obj.sum() == 1
-    assert target.class_ids[0, 0] == 0  # the first object won the cell
+def test_encode_one_responsible_cell_per_image():
+    """n boxes in one call: each image has exactly one responsible cell, and
+    it holds that box's hand-computed cell-relative centre, extent and label,
+    also where two images' boxes share a cell."""
+    boxes = [GtBox(12, 12, 8, 8, 2), GtBox(0, 0, 32, 32, 1), GtBox(1, 1, 4, 4, 0),
+             GtBox(2, 2, 4, 4, 1), GtBox(27, 3, 5, 6, 2)]
+    obj, coords, class_ids = dt.encode_targets(boxes, S=4, image_shape=(32, 32))
+    assert obj.shape == class_ids.shape == (5, 4, 4)
+    assert coords.shape == (5, 4, 4, 4)
+    # 8-px cells: (row, col) of the centre, then (x_rel, y_rel, w / 32, h / 32)
+    want = [((2, 2), (0.0, 0.0, 0.25, 0.25)),          # centre (16, 16), on a boundary
+            ((2, 2), (0.0, 0.0, 1.0, 1.0)),            # centre (16, 16)
+            ((0, 0), (0.375, 0.375, 0.125, 0.125)),    # centre (3, 3)
+            ((0, 0), (0.5, 0.5, 0.125, 0.125)),        # centre (4, 4), image 2's cell
+            ((0, 3), (0.6875, 0.75, 0.15625, 0.1875))]  # centre (29.5, 6)
+    for i, ((row, col), values) in enumerate(want):
+        assert np.argwhere(obj[i]).tolist() == [[row, col]]
+        assert tuple(coords[i, row, col]) == values
+        assert class_ids[i, row, col] == boxes[i].label
+        assert not coords[i][~obj[i]].any() and not class_ids[i][~obj[i]].any()
+        for batch, alone in zip((obj, coords, class_ids),
+                                dt.encode_targets([boxes[i]], 4, (32, 32))):
+            assert np.array_equal(batch[i:i + 1], alone)
 
 
-def target_to_grid(target, B, class_count):
-    """Render a target as a post-squash prediction grid with confidence 1."""
-    S = target.S
+def target_to_grid(obj, coords, class_ids, B, class_count):
+    """Render one image's targets as a post-squash prediction grid with
+    confidence 1."""
+    S = obj.shape[0]
     grid = np.zeros((S, S, B * 5 + class_count))
     for j in range(B):
-        grid[:, :, j * 5:j * 5 + 4] = target.coords
-        grid[:, :, j * 5 + 4] = target.obj.astype(float)
-    rows, cols = np.nonzero(target.obj)
-    grid[rows, cols, B * 5 + target.class_ids[rows, cols]] = 1.0
+        grid[:, :, j * 5:j * 5 + 4] = coords
+        grid[:, :, j * 5 + 4] = obj.astype(float)
+    rows, cols = np.nonzero(obj)
+    grid[rows, cols, B * 5 + class_ids[rows, cols]] = 1.0
     return grid
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_encode_decode_round_trip(seed):
-    import warnings
-
     rng = make_rng(seed)
     ih = iw = 32
     boxes = []
     for _ in range(3):
         w, h = int(rng.integers(4, 12)), int(rng.integers(4, 12))
         x, y = int(rng.integers(0, iw - w)), int(rng.integers(0, ih - h))
-        boxes.append((GtBox(x, y, w, h), int(rng.integers(3))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        target = dt.encode_targets(boxes, S=4, image_shape=(ih, iw))
-    if target.dropped:
-        return  # collisions legitimately drop objects; round trip not applicable
-    grid = target_to_grid(target, B=2, class_count=3)
-    dets = dt.decode_grid(grid, B=2, conf_threshold=0.5, image_shape=(ih, iw))
-    # B identical slots decode to B identical detections per object
-    assert len(dets) == 2 * len(boxes)
-    uniq = {(d.class_id, tuple(round(v, 6) for v in d.box)) for d in dets}
-    assert len(uniq) == len(boxes)
-    for box, cls in boxes:
-        match = [d for d in dets if d.class_id == cls
-                 and np.allclose(d.box, (box.x, box.y, box.w, box.h), atol=1e-9)]
-        assert match, f"box {box} not reproduced"
+        boxes.append(GtBox(x, y, w, h, int(rng.integers(3))))
+    obj, coords, class_ids = dt.encode_targets(boxes, S=4, image_shape=(ih, iw))
+    for i, box in enumerate(boxes):
+        grid = target_to_grid(obj[i], coords[i], class_ids[i], B=2, class_count=3)
+        dets = dt.decode_grid(grid, B=2, conf_threshold=0.5, image_shape=(ih, iw))
+        # B identical slots decode to B identical detections of the one box
+        assert len(dets) == 2
+        for d in dets:
+            assert d.class_id == box.label
+            assert np.allclose(d.box, (box.x, box.y, box.w, box.h), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -92,81 +101,82 @@ def test_encode_decode_round_trip(seed):
 
 
 def make_target_single(S=2, image_shape=(32, 32)):
-    return dt.encode_targets([(GtBox(4, 4, 8, 8), 0)], S, image_shape)
+    """(obj, coords) of one image, each with a leading batch axis of 1."""
+    return dt.encode_targets([GtBox(4, 4, 8, 8)], S, image_shape)[:2]
 
 
 def test_coord_loss_zero_when_exact():
-    target = make_target_single()
+    obj, coords = make_target_single()
     pred = np.zeros((2, 2, 1, 4))
     pred[..., 2:] = 0.5  # keep extents positive everywhere
-    r, c = np.argwhere(target.obj)[0]
-    pred[r, c, 0] = target.coords[r, c]
-    loss, grad = dt.yolo_coord_loss(pred, target)
+    r, c = np.argwhere(obj[0])[0]
+    pred[r, c, 0] = coords[0, r, c]
+    loss, grad = dt.coord_loss_arrays(pred[None], obj, coords)
     assert loss == 0.0
-    assert np.allclose(grad[target.obj], 0.0)
+    assert np.allclose(grad[obj], 0.0)
 
 
 def test_coord_loss_single_offset_term():
-    target = make_target_single()
+    obj, coords = make_target_single()
     pred = np.zeros((2, 2, 1, 4))
     pred[..., 2:] = 0.5
-    r, c = np.argwhere(target.obj)[0]
-    pred[r, c, 0] = target.coords[r, c]
+    r, c = np.argwhere(obj[0])[0]
+    pred[r, c, 0] = coords[0, r, c]
     pred[r, c, 0, 0] += 1.0  # x off by one
-    loss, _ = dt.yolo_coord_loss(pred, target)
+    loss, _ = dt.coord_loss_arrays(pred[None], obj, coords)
     assert loss == pytest.approx(1.0)
 
 
 def test_coord_loss_sqrt_term():
-    target = dt.encode_targets([(GtBox(0, 0, 32, 32), 0)], 1, (32, 32))
-    target.coords[0, 0, 2] = 4.0  # w target 4 against prediction 1
+    obj, coords, _ = dt.encode_targets([GtBox(0, 0, 32, 32)], 1, (32, 32))
+    coords[0, 0, 0, 2] = 4.0  # w target 4 against prediction 1
     pred = np.zeros((1, 1, 1, 4))
-    pred[0, 0, 0] = target.coords[0, 0]
+    pred[0, 0, 0] = coords[0, 0, 0]
     pred[0, 0, 0, 2] = 1.0
-    loss, _ = dt.yolo_coord_loss(pred, target)
+    loss, _ = dt.coord_loss_arrays(pred[None], obj, coords)
     assert loss == pytest.approx((np.sqrt(4) - np.sqrt(1)) ** 2 + 0.0)
 
 
 def test_coord_loss_ignores_non_responsible_cells():
-    target = make_target_single()
+    obj, coords = make_target_single()
     pred = np.zeros((2, 2, 1, 4))
     pred[..., 2:] = 0.5
-    r, c = np.argwhere(target.obj)[0]
-    pred[r, c, 0] = target.coords[r, c]
-    base, _ = dt.yolo_coord_loss(pred, target)
+    r, c = np.argwhere(obj[0])[0]
+    pred[r, c, 0] = coords[0, r, c]
+    base, _ = dt.coord_loss_arrays(pred[None], obj, coords)
     pred2 = pred.copy()
     pred2[1 - r, 1 - c, 0] = (0.9, 0.9, 0.9, 0.9)
-    changed, _ = dt.yolo_coord_loss(pred2, target)
+    changed, _ = dt.coord_loss_arrays(pred2[None], obj, coords)
     assert base == changed == 0.0
 
 
 def test_coord_loss_rejects_nonpositive_extent():
     """A raised error, not an assert, so the check survives ``python -O``."""
-    target = make_target_single()
+    obj, coords = make_target_single()
     pred = np.full((2, 2, 1, 4), 0.5)
-    r, c = np.argwhere(target.obj)[0]
+    r, c = np.argwhere(obj[0])[0]
     pred[r, c, 0, 3] = 0.0
     with pytest.raises(ShapeError, match="extents must be positive"):
-        dt.yolo_coord_loss(pred, target)
+        dt.coord_loss_arrays(pred[None], obj, coords)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_coord_loss_gradient_matches_finite_differences(seed):
     rng = make_rng(800 + seed)
     S, B = 3, 2
-    boxes = [(GtBox(int(rng.integers(0, 20)), int(rng.integers(0, 20)),
-                    int(rng.integers(4, 12)), int(rng.integers(4, 12))), 0)]
-    target = dt.encode_targets(boxes, S, (32, 32))
+    boxes = [GtBox(int(rng.integers(0, 20)), int(rng.integers(0, 20)),
+                   int(rng.integers(4, 12)), int(rng.integers(4, 12)))]
+    obj, coords, _ = dt.encode_targets(boxes, S, (32, 32))
     pred = rng.uniform(0.1, 0.9, (S, S, B, 4))  # extents well away from zero
 
-    loss, grad = dt.yolo_coord_loss(pred, target)
+    loss, grad = dt.coord_loss_arrays(pred[None], obj, coords)
 
     def f(p):
-        return dt.yolo_coord_loss(p.reshape(S, S, B, 4), target)[0]
+        return dt.coord_loss_arrays(p.reshape(S, S, B, 4)[None], obj, coords)[0]
 
     fd = nm.finite_diff_grad(f, pred, 1e-6)
     denom = max(np.abs(fd).max(), 1e-9)
-    assert np.abs(grad - fd).max() / denom < 1e-6
+    assert np.abs(grad[0] - fd).max() / denom < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +225,9 @@ def test_pooled_patch_head_matches_conv_pool_oracle():
         z = dt.standardise(head, feats)
         q = dt.pooled_patches(z, S, 3)
         assert q.shape == (n, c * 9, S, S)
-        anns = [[(GtBox(int(rng.integers(0, h * 2)), int(rng.integers(0, h * 2)), 6, 6),
-                  int(rng.integers(classes)))] for _ in range(n)]
-        obj, coords, cls = dt.encode_batch(anns, S, (h * 4, h * 4))
+        boxes = [GtBox(int(rng.integers(0, h * 2)), int(rng.integers(0, h * 2)), 6, 6,
+                       int(rng.integers(classes))) for _ in range(n)]
+        obj, coords, cls = dt.encode_targets(boxes, S, (h * 4, h * 4))
 
         loss, d_k, d_b = dt._head_loss(head, q, obj, coords, cls)
         grid = dt.head_raw_grids(head, feats)
@@ -422,33 +432,40 @@ def detect_setup():
     rng = make_rng(10)
     n = 24
     images = rng.uniform(0, 0.2, (n, 1, 16, 16))
-    anns = []
+    boxes = []
     for i in range(n):
         w, h = int(rng.integers(5, 9)), int(rng.integers(5, 9))
         x, y = int(rng.integers(0, 16 - w)), int(rng.integers(0, 16 - h))
         images[i, 0, y:y + h, x:x + w] += 0.8
-        anns.append([(GtBox(x, y, w, h), i % 2)])
-    return spec, params, images, anns
+        boxes.append(GtBox(x, y, w, h, i % 2))
+    return spec, params, images, boxes
 
 
 def test_head_backbone_untouched_and_loss_decreases(detect_setup):
-    spec, params, images, anns = detect_setup
+    """Training leaves the backbone's arrays alone, and the trained head's
+    loss on its training split is below that of its initialisation (the same
+    seed trained for zero epochs)."""
+    spec, params, images, boxes = detect_setup
     snapshot = [None if b is None else tuple(a.copy() for a in b) for b in params.blocks]
     cfg = TrainConfig(epochs=10, lr=0.1, seed=0, batch_size=8)
     feats = cache_frozen_features(spec, params, images, tap=2)
-    [(head, report)] = dt.train_detection_head(
-        spec, tap=2, feats=feats, annotations_per_image=anns, S=4, B=2, configs=[cfg])
+    [initial, head] = dt.train_detection_head(
+        spec, tap=2, feats=feats, boxes=boxes, S=4, B=2,
+        configs=[TrainConfig(epochs=0, lr=0.1, seed=0, batch_size=8), cfg])
     for b1, b2 in zip(params.blocks, snapshot):
         if b1 is not None:
             for a1, a2 in zip(b1, b2):
                 assert np.array_equal(a1, a2)
-    assert report.train_losses[-1] < report.train_losses[0]
+    q = dt.pooled_patches(dt.standardise(head, feats), 4, 3)
+    targets = dt.encode_targets(boxes, 4, (16, 16))
+    losses = [dt._head_loss(h, q, *targets, want_grads=False)[0] for h in (initial, head)]
+    assert losses[1] < losses[0]
 
 
 def test_head_gradient_matches_finite_differences(detect_setup):
-    spec, params, images, anns = detect_setup
+    spec, params, images, boxes = detect_setup
     feats = cache_frozen_features(spec, params, images[:4], tap=2)
-    obj, coords, cls = dt.encode_batch(anns[:4], 4, (16, 16))
+    obj, coords, cls = dt.encode_targets(boxes[:4], 4, (16, 16))
     head = dt.init_detect_head(spec, 2, 4, 2, seed=5)
     loss, d_k, d_b = dt._head_loss(head, dt.pooled_patches(feats, 4, 3), obj, coords, cls)
 
@@ -469,11 +486,11 @@ def test_head_gradient_matches_finite_differences(detect_setup):
 
 
 def test_head_deterministic(detect_setup):
-    spec, params, images, anns = detect_setup
+    spec, params, images, boxes = detect_setup
     cfg = TrainConfig(epochs=2, lr=0.05, seed=9, batch_size=8)
     feats = cache_frozen_features(spec, params, images, 1)
-    [(h1, _)] = dt.train_detection_head(spec, 1, feats, anns, 4, 2, [cfg])
-    [(h2, _)] = dt.train_detection_head(spec, 1, feats, anns, 4, 2, [cfg])
+    [h1] = dt.train_detection_head(spec, 1, feats, boxes, 4, 2, [cfg])
+    [h2] = dt.train_detection_head(spec, 1, feats, boxes, 4, 2, [cfg])
     assert np.array_equal(h1.kernel, h2.kernel)
     assert np.array_equal(h1.bias, h2.bias)
 
@@ -482,24 +499,23 @@ def test_head_deterministic(detect_setup):
 def test_head_training_invariant_to_feature_scale(detect_setup, tap):
     """The head learns on standardised features, so scaling a tap by 8 (exact
     in float64) trains the same head bit for bit."""
-    spec, params, images, anns = detect_setup
+    spec, params, images, boxes = detect_setup
     cfg = TrainConfig(epochs=4, lr=0.08, seed=3, batch_size=8)
     feats = cache_frozen_features(spec, params, images, tap)
-    [(h1, r1)] = dt.train_detection_head(spec, tap, feats, anns, 2, 2, [cfg])
-    [(h8, r8)] = dt.train_detection_head(spec, tap, feats * 8.0, anns, 2, 2, [cfg])
+    [h1] = dt.train_detection_head(spec, tap, feats, boxes, 2, 2, [cfg])
+    [h8] = dt.train_detection_head(spec, tap, feats * 8.0, boxes, 2, 2, [cfg])
     assert np.array_equal(h1.kernel, h8.kernel)
     assert np.array_equal(h1.bias, h8.bias)
-    assert r1.train_losses == r8.train_losses
     assert np.array_equal(dt.head_raw_grids(h1, feats), dt.head_raw_grids(h8, feats * 8.0))
 
 
 def test_head_seeds_share_one_input_pipeline(detect_setup, monkeypatch):
     """One call with three configs trains the heads three one-config calls
     train, and each call fits the statistics once and pools each split once."""
-    spec, params, images, anns = detect_setup
+    spec, params, images, boxes = detect_setup
     feats = cache_frozen_features(spec, params, images[:16], 2)
     val = dict(val_feats=cache_frozen_features(spec, params, images[16:], 2),
-               val_annotations=anns[16:])
+               val_boxes=boxes[16:])
     configs = [TrainConfig(epochs=4, lr=0.08, seed=s, batch_size=8, patience=2) for s in (3, 4, 5)]
     calls = {}
     for name in ("pooled_patches", "fit_feature_stats"):
@@ -510,28 +526,24 @@ def test_head_seeds_share_one_input_pipeline(detect_setup, monkeypatch):
 
     def train(cfgs):
         calls.update(pooled_patches=0, fit_feature_stats=0)
-        out = dt.train_detection_head(spec, 2, feats, anns[:16], 4, 2, cfgs, **val)
+        out = dt.train_detection_head(spec, 2, feats, boxes[:16], 4, 2, cfgs, **val)
         assert calls == {"pooled_patches": 2, "fit_feature_stats": 1}
         return out
 
     together = train(configs)
-    assert not np.array_equal(together[0][0].kernel, together[1][0].kernel)
-    for cfg, (head, report) in zip(configs, together):
-        [(alone, alone_report)] = train([cfg])
+    assert not np.array_equal(together[0].kernel, together[1].kernel)
+    for cfg, head in zip(configs, together):
+        [alone] = train([cfg])
         for attr in ("kernel", "bias", "feat_mean", "feat_std"):
             assert np.array_equal(getattr(head, attr), getattr(alone, attr))
-        assert report.val_losses
-        assert (report.train_losses, report.val_losses) == (
-            alone_report.train_losses, alone_report.val_losses)
 
 
 def test_head_constant_channel_keeps_unit_std(detect_setup):
-    spec, params, images, anns = detect_setup
+    spec, params, images, boxes = detect_setup
     cfg = TrainConfig(epochs=3, lr=0.08, seed=3, batch_size=8)
     feats = cache_frozen_features(spec, params, images, 2)
     feats[:, 1] = 0.3
-    [(head, report)] = dt.train_detection_head(spec, 2, feats, anns, 4, 2, [cfg])
-    assert np.all(np.isfinite(report.train_losses))
+    [head] = dt.train_detection_head(spec, 2, feats, boxes, 4, 2, [cfg])
     assert head.feat_std[1] == 1.0
     assert np.all(head.feat_std > 0)
     assert np.all(np.isfinite(dt.head_raw_grids(head, feats)))
