@@ -157,6 +157,9 @@ def granulometry(mask, max_size: int) -> GranulometrySpectrum:
         area = int(_opening(mask, s).sum())
         removed.append(float(prev_area - area))
         prev_area = area
+        if area == 0:  # openings by nested squares are nested: all larger ones are empty
+            break
+    removed += [0.0] * (max_size - len(removed))
     removed[-1] += prev_area  # remainder goes to the final bucket
     weighted = sum(s * r for s, r in zip(sizes, removed))
     return GranulometrySpectrum(sizes, tuple(removed), total, weighted / total)

@@ -28,27 +28,21 @@ def check_tensor4(x, name: str = "input") -> np.ndarray:
     return x
 
 
-def _windows(x: np.ndarray, k: int) -> np.ndarray:
-    """View of the k x k patch around every pixel of ``x`` zero-padded by
-    k // 2: shape (n, c, h, w, k, k)."""
-    p = k // 2
-    if p:  # zeros plus a copy: the values of np.pad, faster on small batches
-        n, c, h, w = x.shape
-        padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        padded[:, :, p:p + h, p:p + w] = x
-        x = padded
-    return sliding_window_view(x, (k, k), axis=(2, 3))
-
-
 def _patches(x: np.ndarray, k: int) -> np.ndarray:
-    """Kernel-major patch matrix ("im2col") of shape (c*k*k, n*h*w).
+    """Kernel-major patch matrix ("im2col") of ``x`` zero-padded by k // 2,
+    shape (c*k*k, n*h*w).
 
     Rows run over (channel, kernel row, kernel column) and columns over
     (image, output row, output column), so each contiguous run the copy
     makes is one whole output row.
     """
-    win = _windows(x, k)
-    n, c, h, w = win.shape[:4]
+    n, c, h, w = x.shape
+    p = k // 2
+    if p:  # zeros plus a copy: the values of np.pad, faster on small batches
+        padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        padded[:, :, p:p + h, p:p + w] = x
+        x = padded
+    win = sliding_window_view(x, (k, k), axis=(2, 3))
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
 
 
@@ -82,20 +76,48 @@ def conv2d(x, kernel, bias=None) -> Tensor4:
 def conv2d_param_grads(x, kernel_shape, d_out):
     """Kernel/bias gradients only (cheaper when the input is frozen).
 
-    This product keeps the (n*h*w, c*k*k) patch layout of ``_windows``
-    rather than the kernel-major ``_patches`` that ``conv2d`` uses. A
-    kernel-major kernel gradient differs in the last bits at layer 0 of the
-    preset net on batches of 13 rows or fewer, and preset-localise ends
-    every epoch with such a batch (2027 or 2028 train images at batch 32),
-    so it would move every trained weight. That is the one reason for two
-    patch layouts.
+    The kernel gradient is one product of d_out, as D of shape
+    (out_c, n*h*w), with the kernel-major patch matrix P = ``_patches(x, k)``
+    of shape (c*k*k, n*h*w) that ``conv2d`` uses. P is rebuilt here, not
+    held from the forward: holding it adds about a quarter to training's
+    peak memory. The form of the product keeps its bits equal to those of
+    the tests' reference, a product in the (n*h*w, c*k*k) window layout,
+    on the preset net and the detection head at every batch:
+
+    - several input channels: ``(P @ Dt).T`` with Dt the contiguous
+      (n*h*w, out_c) transpose of D. ``D @ P.T`` on the view differs in
+      the last bits (preset layer 1 at one image, layer 2 at up to three).
+    - one input channel or a 1x1 kernel: ``D @ Pt`` with Pt the contiguous
+      copy of P.T. On one channel Pt has only k*k columns, and ``(P @ Dt).T``
+      differs there on batches of 13 images or fewer. On a 1x1 kernel (the
+      detection head) Pt is ``x`` in channels-last order, copied once
+      without building P; this is faster than ``(P @ Dt).T`` there.
+
+    Two traps:
+
+    - The result must be C-contiguous. The ``(P @ Dt).T`` view has the
+      same values and the same ``tobytes()``, but ``training.clip_gradients``
+      sums ``g ** 2`` in memory order, so whenever clipping fires the clip
+      norm's last bit, and with it every trained weight, moves.
+    - At one image, ``d_out.transpose(0, 2, 3, 1).reshape(-1, out_c)`` is
+      a strided view (h and w merge), and BLAS then takes another kernel
+      whose bits differ; hence every operand is copied contiguous.
     """
     x = check_tensor4(x, "conv input")
     d_out = check_tensor4(d_out, "conv upstream gradient")
-    win = _windows(x, kernel_shape[2])
-    d_kernel = np.tensordot(d_out, win, axes=([0, 2, 3], [0, 2, 3]))
+    out_c, c, k = d_out.shape[1], x.shape[1], kernel_shape[2]
+    if c > 1 and k > 1:
+        d_t = np.ascontiguousarray(d_out.transpose(0, 2, 3, 1)).reshape(-1, out_c)
+        d_kernel = np.ascontiguousarray((_patches(x, k) @ d_t).T)
+    else:
+        d = np.ascontiguousarray(d_out.transpose(1, 0, 2, 3)).reshape(out_c, -1)
+        if k == 1:  # P.T is x in channels-last order
+            patches_t = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, c)
+        else:
+            patches_t = np.ascontiguousarray(_patches(x, k).T)
+        d_kernel = d @ patches_t
     d_bias = d_out.sum(axis=(0, 2, 3))
-    return d_kernel, d_bias
+    return d_kernel.reshape(kernel_shape), d_bias
 
 
 def conv2d_backward(x, kernel, d_out, *, want_input: bool = True, want_params: bool = True):

@@ -269,6 +269,48 @@ def test_granulometry_conserves_area_vs_oracle(seed, density):
     assert all(r >= 0 for r in spec.removed)
 
 
+def spectrum_without_early_stop(mask, max_size):
+    """granulometry as one opening per size, every size computed."""
+    total = int(mask.sum())
+    sizes = tuple(range(1, max_size + 1))
+    if total == 0:
+        return lm.GranulometrySpectrum(sizes, (0.0,) * max_size, 0, 0.0)
+    removed = []
+    prev = total
+    for s in sizes:
+        area = int(lm._opening(mask, s).sum())
+        removed.append(float(prev - area))
+        prev = area
+    removed[-1] += prev
+    weighted = sum(s * r for s, r in zip(sizes, removed))
+    return lm.GranulometrySpectrum(sizes, tuple(removed), total, weighted / total)
+
+
+def _fixed_masks():
+    one = np.zeros((9, 9), dtype=bool)
+    one[4, 4] = True
+    checker = (np.indices((10, 12)).sum(axis=0) % 2).astype(bool)
+    return [np.zeros((8, 8), dtype=bool), np.ones((8, 8), dtype=bool),
+            np.ones((20, 20), dtype=bool), one, checker]
+
+
+@pytest.mark.parametrize("index", range(len(_fixed_masks())))
+@pytest.mark.parametrize("max_size", [1, 3, 6])
+def test_granulometry_early_stop_equals_full_loop_on_fixed_masks(index, max_size):
+    mask = _fixed_masks()[index]
+    assert lm.granulometry(mask, max_size) == spectrum_without_early_stop(mask, max_size)
+
+
+@given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 24), w=st.integers(1, 24),
+       density=st.floats(0.0, 1.0), max_size=st.integers(1, 8))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_granulometry_early_stop_equals_full_loop(seed, h, w, density, max_size):
+    """Stopping at the first empty opening leaves every spectrum as it was."""
+    rng = make_rng(seed)
+    mask = rng.random((h, w)) < density
+    assert lm.granulometry(mask, max_size) == spectrum_without_early_stop(mask, max_size)
+
+
 def test_granulometry_opening_is_anti_extensive():
     rng = make_rng(7)
     for _ in range(20):

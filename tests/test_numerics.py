@@ -131,6 +131,12 @@ def conv2d_input_grad_reference(x, kernel, d_out, pad):
     return d_full[:, :, pad:pad + h, pad:pad + w]
 
 
+def kernel_grad_reference(x, d_out, k):
+    """Window-layout kernel gradient: tensordot of d_out with the window view."""
+    win = reference_windows(x, k, k // 2)
+    return np.tensordot(d_out, win, axes=([0, 2, 3], [0, 2, 3]))
+
+
 @pytest.mark.parametrize("layer", range(6))
 def test_conv_forward_equals_patch_major_reference(layer):
     c_in, c_out, side = PRESET_CONVS[layer]
@@ -154,14 +160,47 @@ def test_conv_backward_equals_reference_on_preset_layers(layer):
         x = rng.standard_normal((n, c_in, side, side))
         up = rng.standard_normal((n, c_out, side, side))
         d_x, d_k, d_b = nm.conv2d_backward(x, k, up)
-        win = reference_windows(x, 3, 1)
-        assert np.array_equal(d_k, np.tensordot(up, win, axes=([0, 2, 3], [0, 2, 3])))
+        ref_k = kernel_grad_reference(x, up, 3)
+        assert np.array_equal(d_k, ref_k)
+        assert d_k.tobytes() == ref_k.tobytes()  # array_equal cannot see a signed zero
+        assert d_k.flags.c_contiguous  # clip_gradients sums in memory order
         assert np.array_equal(d_b, up.sum(axis=(0, 2, 3)))
         ref_x = conv2d_input_grad_reference(x, k, up, 1)
         if layer == 0:
             assert rel_err(d_x, ref_x) < 1e-14
         else:
             assert np.array_equal(d_x, ref_x)
+
+
+@pytest.mark.parametrize("c", [8, 16, 32])
+def test_param_grads_equal_reference_on_head_shapes(c):
+    """The detection head's 1x1 kernel gradient over pooled patches of a tap
+    with c channels (c*9 patch channels, 13 outputs on the presets' 4x4
+    grid), with the head's (n, S, S, out) gradient passed as a transposed
+    view."""
+    rng = make_rng(400 + c)
+    for n in (1, 16, 32):
+        q = rng.standard_normal((n, c * 9, 4, 4))
+        d = rng.standard_normal((n, 4, 4, 13)).transpose(0, 3, 1, 2)
+        d_k, d_b = nm.conv2d_param_grads(q, (13, c * 9, 1, 1), d)
+        assert d_k.tobytes() == kernel_grad_reference(q, d, 1).tobytes()
+        assert d_k.flags.c_contiguous
+        assert np.array_equal(d_b, d.sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("c_in, k", [(1, 3), (4, 1), (2, 5)])
+def test_conv_param_grads_match_finite_differences(c_in, k):
+    """Kernel and bias gradients on one input channel, a 1x1 kernel and a 5x5 one."""
+    rng = make_rng(500 + 10 * c_in + k)
+    x = rng.standard_normal((2, c_in, 7, 7))
+    kernel = rng.standard_normal((3, c_in, k, k))
+    b = rng.standard_normal(3)
+    up = rng.standard_normal((2, 3, 7, 7))
+    _, d_k, d_b = nm.conv2d_backward(x, kernel, up, want_input=False)
+    fd_k = nm.finite_diff_grad(lambda v: float((nm.conv2d(x, v, b) * up).sum()), kernel)
+    fd_b = nm.finite_diff_grad(lambda v: float((nm.conv2d(x, kernel, v) * up).sum()), b)
+    assert rel_err(d_k, fd_k) < 1e-5
+    assert rel_err(d_b, fd_b) < 1e-5
 
 
 @given(scale=st.floats(-3, 3), seed=st.integers(0, 2**31 - 1))

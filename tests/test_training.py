@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from layerlens import network as net
+from layerlens import numerics as nm
 from layerlens import training as tr
 from layerlens.errors import SpecError, TrainingDiverged
 from layerlens.seeding import derive_seed, make_rng
@@ -123,6 +125,41 @@ def test_e2e_learns_separable_task(small_spec):
     cfg = tr.TrainConfig(epochs=14, lr=0.05, seed=3)
     params, stages = tr.train_e2e(small_spec, data, cfg)
     assert stages[0].train_acc >= 0.99
+
+
+def window_param_grads(x, kernel_shape, d_out):
+    """Kernel and bias gradients as tensordot over the window view."""
+    k = kernel_shape[2]
+    p = k // 2
+    win = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), (k, k), axis=(2, 3))
+    return np.tensordot(d_out, win, axes=([0, 2, 3], [0, 2, 3])), d_out.sum(axis=(0, 2, 3))
+
+
+def test_e2e_weights_equal_window_kernel_gradients_when_clipping(monkeypatch):
+    """Trained bytes equal those of the tensordot kernel gradient while the
+    clip fires. Equal gradient values are not enough: ``clip_gradients``
+    sums ``g ** 2`` in memory order, so a gradient that is not C-contiguous
+    moves the clip norm's last bit."""
+    spec = net.NetworkSpec([net.Conv(8, 3), net.Relu(), net.Conv(8, 3), net.Relu(),
+                            net.Pool(2), net.Flatten(), net.Dense(2)], (1, 12, 12), 2)
+    data = two_bar_set(40, seed=4)
+    cfg = tr.TrainConfig(epochs=2, batch_size=8, clip_norm=0.5, seed=11)
+    scales = []
+    clip = tr.clip_gradients
+
+    def recording_clip(grads, clip_norm):
+        grads, scale = clip(grads, clip_norm)
+        scales.append(scale)
+        return grads, scale
+
+    monkeypatch.setattr(tr, "clip_gradients", recording_clip)
+    trained, _ = tr.train_e2e(spec, data, cfg)
+    assert min(scales) < 1.0
+    monkeypatch.setattr(nm, "conv2d_param_grads", window_param_grads)
+    reference, _ = tr.train_e2e(spec, data, cfg)
+    for got, want in zip(trained.blocks, reference.blocks):
+        if got is not None:
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
