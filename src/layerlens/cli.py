@@ -239,8 +239,8 @@ def _image_maps(params, ann, image, cfg, methods, taps, percentile):
 
 
 def cmd_explain(cfg: ExperimentConfig, args) -> int:
-    methods = (check_methods("--methods", args.methods.split(",")) if args.methods
-               else cfg["explain"]["methods"])
+    methods = (check_methods("--methods", args.methods.split(","))
+               if args.methods is not None else cfg["explain"]["methods"])
     taps = _taps(cfg, args.taps)
     [(x, _, anns)] = _load_splits(cfg, "test")
     params = net.load_weights(args.weights, cfg.spec)

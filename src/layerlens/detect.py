@@ -135,6 +135,8 @@ def pooled_patches(z: np.ndarray, S: int, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # detection head
 
+HEAD_KERNEL = 3  # a new head's kernel edge; a loaded head keeps its file's
+
 
 @dataclass
 class DetectHead:
@@ -157,13 +159,13 @@ def _sigmoid(x):
     return out
 
 
-def init_detect_head(spec, tap: int, S: int, B: int, seed: int, kernel_size: int = 3) -> DetectHead:
+def init_detect_head(spec, tap: int, S: int, B: int, seed: int) -> DetectHead:
     c = spec.tap_shape(tap)[0]
     out_c = B * 5 + spec.class_count
     rng = make_rng(seed)
-    fan_in = c * kernel_size * kernel_size
+    fan_in = c * HEAD_KERNEL * HEAD_KERNEL
     limit = np.sqrt(6.0 / fan_in)
-    k = rng.uniform(-limit, limit, size=(out_c, c, kernel_size, kernel_size))
+    k = rng.uniform(-limit, limit, size=(out_c, c, HEAD_KERNEL, HEAD_KERNEL))
     return DetectHead(tap, S, B, spec.class_count, k, np.zeros(out_c), np.zeros(c), np.ones(c))
 
 

@@ -3,8 +3,12 @@
 A network is an ordered list of layer descriptors validated into a
 ``NetworkSpec`` (shape chain checked at construction). Tap points are the
 post-relu outputs of the conv layers, indexed 1..L; tap 0 denotes the input
-image. ``ModelParams`` carries the learned arrays, per-layer frozen flags
-and a provenance record (training scheme, split sizes, seed).
+image. ``NetworkSpec.after_tap`` is the one tap rule: tap t is the input of
+layer ``after_tap(t)``, so a forward with caches holds it at that index, a
+backward records its gradient there, and a cascade stage over taps a..b
+spans layers ``after_tap(a - 1) .. after_tap(b) - 1``. ``ModelParams``
+carries the learned arrays, per-layer frozen flags and a provenance record
+(training scheme, split sizes, seed).
 """
 
 from __future__ import annotations
@@ -134,11 +138,16 @@ class NetworkSpec:
     def tap_count(self) -> int:
         return len(self.tap_layers)
 
+    def after_tap(self, tap: int) -> int:
+        """Index of the layer whose input is tap ``tap``: 0 for tap 0 (the
+        image). The one tap range check: outside 0..tap_count it raises."""
+        if not 0 <= tap <= self.tap_count:
+            raise SpecError(f"tap {tap} out of range 0..{self.tap_count}")
+        return 0 if tap == 0 else self.tap_layers[tap - 1] + 1
+
     def tap_shape(self, tap: int) -> tuple:
         """Activation shape (c, h, w) at a tap; tap 0 is the input image."""
-        if tap == 0:
-            return self.input_shape
-        return self.layer_shapes[self.tap_layers[tap - 1]]
+        return self.shape_before(self.after_tap(tap))
 
     def shape_before(self, layer_idx: int) -> tuple:
         return self.input_shape if layer_idx == 0 else self.layer_shapes[layer_idx - 1]
@@ -298,33 +307,27 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
     even when it is the last tap: taps 1..d are captured and the first
     element is None.
 
-    A row's class scores do not depend on the rest of its batch: the dense
-    classifier runs one row at a time. Conv rows equal their batch-1 values
-    wherever BLAS multiplies one image's patches and a batch's with the
-    same kernel, as it does for every layer of the preset net.
+    A row's class scores do not depend on the rest of its batch: the layers
+    after the last tap run one row at a time. Conv rows equal their batch-1
+    values wherever BLAS multiplies one image's patches and a batch's with
+    the same kernel, as it does for every layer of the preset net.
     """
     x = _check_batch(spec, batch)
     full = depth is None
     if full:
         depth = spec.tap_count
-    elif not 0 <= depth <= spec.tap_count:
-        raise SpecError(f"depth {depth} out of range 0..{spec.tap_count}")
-    taps: dict[int, np.ndarray] = {}
-    if depth == 0 and not full:
+    top = spec.after_tap(depth)
+    out, caches = run_span(spec, params, x, 0, top - 1, want_caches=True)
+    caches.append(out)  # caches[i] is layer i's input
+    taps = {t: caches[spec.after_tap(t)] for t in range(1, depth + 1)}
+    if not full:
         return None, taps
-    last_layer = len(spec.layers) - 1 if full else spec.tap_layers[depth - 1]
-    tap_of_layer = {li: t + 1 for t, li in enumerate(spec.tap_layers)}
-    for i in range(last_layer + 1):
-        layer, block = spec.layers[i], params.blocks[i]
-        if isinstance(layer, Dense):
-            # an n-row matmul rounds differently from a one-row one
-            x = np.concatenate([_layer_forward(layer, block, x[r:r + 1]) for r in range(len(x))])
-        else:
-            x = _layer_forward(layer, block, x)
-        t = tap_of_layer.get(i)
-        if t is not None and t <= depth:
-            taps[t] = x
-    return (x if full else None), taps
+    # an n-row matmul rounds differently from a one-row one; the pool and
+    # flatten before it give the same bits per row as per batch
+    last = len(spec.layers) - 1
+    scores = np.concatenate([run_span(spec, params, out[r:r + 1], top, last)
+                             for r in range(len(out))])
+    return scores, taps
 
 
 def backward_to_tap(spec: NetworkSpec, params: ModelParams, batch, class_index: int, taps):
@@ -337,16 +340,13 @@ def backward_to_tap(spec: NetworkSpec, params: ModelParams, batch, class_index: 
     samples are independent the rows are per-sample gradients.
     """
     x = _check_batch(spec, batch)
-    for tap in taps:
-        if not 0 <= tap <= spec.tap_count:
-            raise SpecError(f"tap {tap} out of range 0..{spec.tap_count}")
+    tap_below = {spec.after_tap(t): t for t in taps}
     if not 0 <= class_index < spec.class_count:
         raise SpecError(f"class index {class_index} out of range 0..{spec.class_count}")
     last = len(spec.layers) - 1
     scores, caches = run_span(spec, params, x, 0, last, want_caches=True)
     g = np.zeros_like(scores)
     g[:, class_index] = 1.0
-    tap_below = {(-1 if t == 0 else spec.tap_layers[t - 1]) + 1: t for t in taps}
     acts, grads = {}, {}
     for i in range(last, min(tap_below, default=last + 1) - 1, -1):
         g, _ = _layer_backward(spec.layers[i], params.blocks[i], caches[i], g,

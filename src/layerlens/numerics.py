@@ -95,10 +95,10 @@ def conv2d_param_grads(x, kernel_shape, d_out):
 
     Two traps:
 
-    - The result must be C-contiguous. The ``(P @ Dt).T`` view has the
-      same values and the same ``tobytes()``, but ``training.clip_gradients``
-      sums ``g ** 2`` in memory order, so whenever clipping fires the clip
-      norm's last bit, and with it every trained weight, moves.
+    - The result is C-contiguous, although the ``(P @ Dt).T`` view has the
+      same values and the same ``tobytes()``: ``training.clip_gradients``
+      sums in C order whatever the layout, so a view would keep its bits,
+      but would cost it a copy of every kernel gradient.
     - At one image, ``d_out.transpose(0, 2, 3, 1).reshape(-1, out_c)`` is
       a strided view (h and w merge), and BLAS then takes another kernel
       whose bits differ; hence every operand is copied contiguous.

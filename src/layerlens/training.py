@@ -98,7 +98,8 @@ def clip_gradients(grads, clip_norm: float):
     """Scale a list of gradient arrays so their global norm is <= clip_norm."""
     if clip_norm <= 0:
         return grads, 1.0
-    total = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
+    # summed in C order, whatever the arrays' memory layout
+    total = np.sqrt(sum(float((np.ascontiguousarray(g) ** 2).sum()) for g in grads))
     if total <= clip_norm:
         return grads, 1.0
     scale = clip_norm / total
@@ -277,8 +278,6 @@ def cache_frozen_features(
     The result is bitwise identical to ``forward_with_taps`` called with the
     same batching, because it is the same code path.
     """
-    if not 0 <= tap <= spec.tap_count:
-        raise SpecError(f"tap {tap} out of range 0..{spec.tap_count}")
     if x.shape[0] == 0:
         return np.zeros((0,) + spec.tap_shape(tap), dtype=np.float64)
     if tap == 0:
@@ -286,12 +285,6 @@ def cache_frozen_features(
     (feats,) = map_batches(
         lambda xb: (net.forward_with_taps(spec, params, xb, depth=tap)[1][tap],), batch_size, x)
     return feats
-
-
-def _stage_span(spec: net.NetworkSpec, part: tuple[int, ...]) -> tuple[int, int]:
-    first, last = part[0], part[-1]
-    lo = 0 if first == 1 else spec.tap_layers[first - 2] + 1
-    return lo, spec.tap_layers[last - 1]
 
 
 def train_cascade(
@@ -314,7 +307,7 @@ def train_cascade(
     cur_train = LabelledSet(nm.as_f64(train.x), train.y)
     cur_val = None if _nonempty(val) is None else LabelledSet(nm.as_f64(val.x), val.y)
     for s_idx, part in enumerate(plan.parts):
-        lo, hi = _stage_span(spec, part)
+        lo, hi = spec.after_tap(part[0] - 1), spec.after_tap(part[-1]) - 1
         head = net.init_aux_head(spec, part[-1], derive_seed(config.seed, f"head:{s_idx}"))
         rng = make_rng(derive_seed(config.seed, f"order:stage{s_idx}"))
         # this stage's output activations are the next stage's cached inputs
@@ -328,7 +321,7 @@ def train_cascade(
     # classifier tail (everything after the last tap) on frozen features
     rng = make_rng(derive_seed(config.seed, "order:classifier"))
     stages.append(_train_span(
-        spec, params, spec.tap_layers[-1] + 1, len(spec.layers) - 1, None,
+        spec, params, spec.after_tap(spec.tap_count), len(spec.layers) - 1, None,
         cur_train, cur_val, config, rng, "cl_classifier")[0])
 
     params.provenance = net.Provenance(

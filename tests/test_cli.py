@@ -725,10 +725,12 @@ def test_jobs_capped_at_work_items(pipeline, tmp_path, monkeypatch):
     ("granulometry", ["--taps", "2,9"], "--taps: tap 9 out of range 1..6"),
     ("explain", ["--taps", "0", "--methods", "saliency"], "--taps: tap 0 out of range 1..6"),
     ("explain", ["--taps", "3,3"], "--taps: tap 3 repeated"),
+    ("explain", ["--methods", ""], "--methods: unknown method ''"),
 ], ids=["explain-abc", "granulometry-2,x", "explain-9", "granulometry-2,9", "explain-0",
-        "explain-3,3"])
+        "explain-3,3", "explain-methods-empty"])
 def test_bad_taps_flag_exit_2(pipeline, monkeypatch, capsys, verb, flags, error):
-    """``--taps`` follows the rule of the config's ``explain.taps``."""
+    """``--taps`` follows the rule of the config's ``explain.taps``, and an
+    empty ``--methods`` names no method rather than the config's."""
     cfg_path, out = pipeline
 
     def never(*args, **kwargs):

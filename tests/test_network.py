@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from layerlens import network as net
 from layerlens import numerics as nm
+from layerlens import training as tr
 from layerlens.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -39,11 +40,31 @@ def tiny_net():
 
 def test_six_layer_shapes_and_taps(six_net):
     assert six_net.tap_count == 6
+    # tap t is the input of layer after_tap(t): the image feeds layer 0, and
+    # every other tap the layer after its relu
+    assert [six_net.after_tap(t) for t in range(7)] == [0, 2, 4, 7, 9, 12, 14]
+    assert six_net.tap_shape(0) == (3, 32, 32)
     # pooling after blocks 2/4/6 halves 32 -> 16 -> 8 -> 4
     assert six_net.tap_shape(6) == (32, 8, 8)
     assert six_net.layer_shapes[-1] == (3,)
     flat_idx = len(six_net.layers) - 2
     assert six_net.layer_shapes[flat_idx] == (32 * 4 * 4,)
+
+
+@pytest.mark.parametrize("tap", [-1, 7])
+def test_tap_out_of_range_raises_one_error(six_net, tap):
+    """Every function addressed by tap refuses a bad one with the same message."""
+    params = net.init_params(six_net, 0)
+    x = np.zeros((1, 3, 32, 32))
+    message = f"^tap {tap} out of range 0..6$"
+    for call in (lambda: six_net.after_tap(tap),
+                 lambda: six_net.tap_shape(tap),
+                 lambda: net.forward_with_taps(six_net, params, x, depth=tap),
+                 lambda: net.backward_to_tap(six_net, params, x, 0, (1, tap)),
+                 lambda: tr.cache_frozen_features(six_net, params, x, tap),
+                 lambda: tr.cache_frozen_features(six_net, params, x[:0], tap)):
+        with pytest.raises(SpecError, match=message):
+            call()
 
 
 def test_single_logit_head():

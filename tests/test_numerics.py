@@ -163,7 +163,7 @@ def test_conv_backward_equals_reference_on_preset_layers(layer):
         ref_k = kernel_grad_reference(x, up, 3)
         assert np.array_equal(d_k, ref_k)
         assert d_k.tobytes() == ref_k.tobytes()  # array_equal cannot see a signed zero
-        assert d_k.flags.c_contiguous  # clip_gradients sums in memory order
+        assert d_k.flags.c_contiguous
         assert np.array_equal(d_b, up.sum(axis=(0, 2, 3)))
         ref_x = conv2d_input_grad_reference(x, k, up, 1)
         if layer == 0:

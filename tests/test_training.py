@@ -135,11 +135,23 @@ def window_param_grads(x, kernel_shape, d_out):
     return np.tensordot(d_out, win, axes=([0, 2, 3], [0, 2, 3])), d_out.sum(axis=(0, 2, 3))
 
 
+def test_clip_gradients_ignores_memory_layout():
+    """A transposed view clips to the same bytes as its C-contiguous copy,
+    although summing its squares in memory order moves the norm's last bit."""
+    g = make_rng(4).standard_normal((16, 72))
+    view = np.ascontiguousarray(g.T).T
+    assert not view.flags.c_contiguous and np.array_equal(view, g)
+    assert float((view ** 2).sum()) != float((g ** 2).sum())
+    bias = np.ones(16)
+    clipped, scale = tr.clip_gradients([g, bias], 1.0)
+    clipped_view, scale_view = tr.clip_gradients([view, bias], 1.0)
+    assert scale < 1.0 and scale_view == scale
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(clipped, clipped_view))
+
+
 def test_e2e_weights_equal_window_kernel_gradients_when_clipping(monkeypatch):
     """Trained bytes equal those of the tensordot kernel gradient while the
-    clip fires. Equal gradient values are not enough: ``clip_gradients``
-    sums ``g ** 2`` in memory order, so a gradient that is not C-contiguous
-    moves the clip norm's last bit."""
+    clip fires."""
     spec = net.NetworkSpec([net.Conv(8, 3), net.Relu(), net.Conv(8, 3), net.Relu(),
                             net.Pool(2), net.Flatten(), net.Dense(2)], (1, 12, 12), 2)
     data = two_bar_set(40, seed=4)
@@ -196,7 +208,7 @@ def test_cascade_stagewise_freezing(small_spec):
     params_full, _ = tr.train_cascade(small_spec, data, cfg, plan)
 
     params_partial = net.init_params(small_spec, derive_seed(11, "init"))
-    lo, hi = tr._stage_span(small_spec, (1,))
+    lo, hi = small_spec.after_tap(0), small_spec.after_tap(1) - 1
     head = net.init_aux_head(small_spec, 1, derive_seed(11, "head:0"))
     rng = make_rng(derive_seed(11, "order:stage0"))
     tr._train_span(small_spec, params_partial, lo, hi, head, data, None, cfg, rng, "s0")
