@@ -317,16 +317,19 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
     if full:
         depth = spec.tap_count
     top = spec.after_tap(depth)
-    out, caches = run_span(spec, params, x, 0, top - 1, want_caches=True)
-    caches.append(out)  # caches[i] is layer i's input
-    taps = {t: caches[spec.after_tap(t)] for t in range(1, depth + 1)}
+    # one span per tap: only the taps stay alive, not every layer's input
+    taps, lo = {}, 0
+    for t in range(1, depth + 1):
+        hi = spec.after_tap(t)
+        x = taps[t] = run_span(spec, params, x, lo, hi - 1)
+        lo = hi
     if not full:
         return None, taps
     # an n-row matmul rounds differently from a one-row one; the pool and
     # flatten before it give the same bits per row as per batch
     last = len(spec.layers) - 1
-    scores = np.concatenate([run_span(spec, params, out[r:r + 1], top, last)
-                             for r in range(len(out))])
+    scores = np.concatenate([run_span(spec, params, x[r:r + 1], top, last)
+                             for r in range(len(x))])
     return scores, taps
 
 
