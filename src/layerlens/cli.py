@@ -154,7 +154,9 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         params, stages = tr.train_cascade(spec, train, tcfg, plan, val)
 
     pcfg = tr.TrainConfig(**cfg["train"]["probe"], seed=derive_seed(cfg.seed, f"probe:{scheme}"))
-    _, probe_acc = tr.train_probes(spec, params, train, pcfg, val)
+    # the probes train on the taps the stages' accuracy passes pooled
+    _, probe_acc = tr.train_probes(
+        spec, {tap: sets for stage in stages for tap, sets in stage.pooled.items()}, pcfg)
     # the last stage (e2e, or cl_classifier) trained the whole model
     train_acc, val_acc = stages[-1].train_acc, stages[-1].val_acc
 

@@ -151,12 +151,9 @@ class DetectHead:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows, and takes the arguments the two branches need
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def init_detect_head(spec, tap: int, S: int, B: int, seed: int) -> DetectHead:

@@ -290,36 +290,37 @@ def run_span(spec: NetworkSpec, params: ModelParams, x, lo: int, hi: int, want_c
     return (x, caches) if want_caches else x
 
 
-def _check_batch(spec: NetworkSpec, batch) -> np.ndarray:
+def _check_batch(spec: NetworkSpec, batch, tap: int = 0) -> np.ndarray:
     x = nm.check_tensor4(batch, "batch")
-    if x.shape[1:] != spec.input_shape:
-        raise ShapeError(
-            f"batch shape {x.shape} does not match network input {spec.input_shape}"
-        )
+    if x.shape[1:] != spec.tap_shape(tap):
+        where = "network input" if tap == 0 else f"tap {tap}"
+        raise ShapeError(f"batch shape {x.shape} does not match {where} {spec.tap_shape(tap)}")
     return x
 
 
-def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int | None = None):
+def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int | None = None,
+                      start: int = 0):
     """Forward pass capturing tap activations.
 
-    With ``depth=None`` every tap is captured and the class scores are
-    returned first. With ``depth=d`` execution stops right after tap ``d``,
-    even when it is the last tap: taps 1..d are captured and the first
-    element is None.
+    ``batch`` holds tap ``start``'s activations: the images for the default
+    0. With ``depth=None`` every later tap is captured and the class scores
+    are returned first. With ``depth=d`` execution stops right after tap
+    ``d``, even when it is the last tap: taps start+1..d are captured and
+    the first element is None.
 
     A row's class scores do not depend on the rest of its batch: the layers
     after the last tap run one row at a time. Conv rows equal their batch-1
     values wherever BLAS multiplies one image's patches and a batch's with
     the same kernel, as it does for every layer of the preset net.
     """
-    x = _check_batch(spec, batch)
+    x = _check_batch(spec, batch, start)
     full = depth is None
     if full:
         depth = spec.tap_count
     top = spec.after_tap(depth)
     # one span per tap: only the taps stay alive, not every layer's input
-    taps, lo = {}, 0
-    for t in range(1, depth + 1):
+    taps, lo = {}, spec.after_tap(start)
+    for t in range(start + 1, depth + 1):
         hi = spec.after_tap(t)
         x = taps[t] = run_span(spec, params, x, lo, hi - 1)
         lo = hi

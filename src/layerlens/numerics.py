@@ -144,8 +144,16 @@ def relu(x) -> np.ndarray:
 
 
 def relu_backward(x, d_out) -> np.ndarray:
-    x = as_f64(x)
-    return np.where(x > 0, as_f64(d_out), 0.0)
+    """``d_out`` where ``x > 0``, else +0.0, for finite ``d_out``.
+
+    Adding 0.0 turns the -0.0 that a negative gradient times False gives
+    into +0.0. It would also turn a -0.0 gradient at ``x > 0`` into +0.0, but
+    none reaches here: GEMM sums start at +0.0, and the pool backward adds
+    into zeros.
+    """
+    d_x = as_f64(d_out) * (as_f64(x) > 0)
+    d_x += 0.0
+    return d_x
 
 
 def _pool_offsets(shape: tuple, window: int) -> list[tuple]:
@@ -179,7 +187,9 @@ def maxpool2d_backward(x, d_out, window: int) -> np.ndarray:
 
     Offsets are visited in row-major order and ``taken`` marks the windows
     already routed, so a tied maximum sends the gradient to its first
-    occurrence only.
+    occurrence only. Each element of ``x`` is written once; adding 0.0 at
+    the end makes the -0.0 of a negative gradient times False +0.0, as
+    adding that product into zeros would.
     """
     x = check_tensor4(x, "pool input")
     d_out = check_tensor4(d_out, "pool upstream gradient")
@@ -189,7 +199,8 @@ def maxpool2d_backward(x, d_out, window: int) -> np.ndarray:
     for idx in _pool_offsets(x.shape, window):
         hit = (x[idx] == pooled) & ~taken
         taken |= hit
-        d_x[idx] += np.where(hit, d_out, 0.0)
+        np.multiply(d_out, hit, out=d_x[idx])
+    d_x += 0.0
     return d_x
 
 

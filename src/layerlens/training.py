@@ -88,6 +88,9 @@ class StageReport:
     val_losses: list[float] = field(default_factory=list)
     train_acc: float | None = None
     val_acc: float | None = None
+    # per tap the span produces: the tap's (h, w) means on train and on val
+    # (None without val rows), from the passes that measure the accuracies
+    pooled: dict[int, tuple[LabelledSet, LabelledSet | None]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +194,17 @@ def _train_span(
 ) -> tuple[StageReport, LabelledSet, LabelledSet | None]:
     """Minibatch SGD over layers lo..hi (and the head); mutates params/head in place.
     Returns the report and the span's outputs on ``train`` and ``val``, from
-    the pass that measures the stage's accuracies."""
+    the passes that measure the stage's accuracies. A span that produces taps
+    starts at one (or at the image) and those passes also fill
+    ``report.pooled``."""
     report = StageReport(stage_name)
     val = _nonempty(val)
     # backpropagation ends at the lowest layer with parameters, whose input
     # gradient nothing uses
     bottom = min((i for i in range(lo, hi + 1) if params.blocks[i] is not None),
                  default=hi + 1)
+    taps = [t for t in range(1, spec.tap_count + 1) if lo < spec.after_tap(t) <= hi + 1]
+    rest = spec.after_tap(taps[-1]) if taps else lo
 
     def scores(acts):
         return acts if head is None else net.aux_head_forward(head, acts)
@@ -228,21 +235,39 @@ def _train_span(
         return loss, arrays, grads
 
     def loss_acc(data: LabelledSet):
-        """Mean loss, accuracy and the span's outputs on ``data``."""
+        """Mean loss, accuracy, the span's outputs and its pooled taps on ``data``."""
         def batch(xb, yb):
-            out = net.run_span(spec, params, xb, lo, hi)
+            out, acts = xb, {}
+            if taps:
+                _, acts = net.forward_with_taps(spec, params, xb, depth=taps[-1],
+                                                start=taps[0] - 1)
+                out = acts[taps[-1]]
+            if rest <= hi:
+                out = net.run_span(spec, params, out, rest, hi)
             s = scores(out)
             loss, _ = nm.softmax_cross_entropy(s, yb)
-            return np.array([loss * len(xb)]), s.argmax(axis=1) == yb, out
-        losses, hits, out = map_batches(batch, cfg.batch_size, data.x, data.y)
+            return (np.array([loss * len(xb)]), s.argmax(axis=1) == yb, out,
+                    *(acts[t].mean(axis=(2, 3)) for t in taps))
+        losses, hits, out, *means = map_batches(batch, cfg.batch_size, data.x, data.y)
         return (sum(losses.tolist()) / len(data.x), int(hits.sum()) / len(data.x),
-                LabelledSet(out, data.y))
+                LabelledSet(out, data.y), [LabelledSet(m, data.y) for m in means])
+
+    # fit's last val pass ran on the final weights, so it is the stage's own
+    last_val = None
+
+    def val_loss():
+        nonlocal last_val
+        last_val = loss_acc(val)
+        return last_val[0]
 
     report.train_losses, report.val_losses = fit(
-        step, len(train.x), cfg, rng, None if val is None else (lambda: loss_acc(val)[0]),
+        step, len(train.x), cfg, rng, None if val is None else val_loss,
         f"stage '{stage_name}'")
-    _, report.train_acc, train_out = loss_acc(train)
-    _, report.val_acc, val_out = (None, None, None) if val is None else loss_acc(val)
+    _, report.train_acc, train_out, train_pooled = loss_acc(train)
+    if val is not None and last_val is None:  # zero epochs: fit ran no val pass
+        last_val = loss_acc(val)
+    _, report.val_acc, val_out, val_pooled = last_val or (None, None, None, [None] * len(taps))
+    report.pooled = dict(zip(taps, zip(train_pooled, val_pooled)))
     return report, train_out, val_out
 
 
@@ -335,43 +360,33 @@ def train_cascade(
 
 def train_probes(
     spec: net.NetworkSpec,
-    params: net.ModelParams,
-    train: LabelledSet,
+    pooled: dict[int, tuple[LabelledSet, LabelledSet | None]],
     config: TrainConfig,
-    val: LabelledSet | None = None,
 ) -> tuple[dict[int, net.AuxHead], dict[int, tuple[float, float | None]]]:
     """One fresh pool+dense probe per tap, trained on the frozen backbone's
-    pooled features. The backbone is read-only throughout."""
-    taps = range(1, spec.tap_count + 1)
-
-    def pooled(xb):
-        _, acts = net.forward_with_taps(spec, params, xb, depth=spec.tap_count)
-        return tuple(acts[t].mean(axis=(2, 3)) for t in taps)
-
-    val = _nonempty(val)
-    f_train = map_batches(pooled, config.batch_size, train.x)
-    f_val = None if val is None else map_batches(pooled, config.batch_size, val.x)
+    pooled features: ``pooled[tap]`` holds the tap's (h, w) means on train
+    and on val (None without val rows), as the stage reports record them.
+    Nothing is forwarded here."""
     heads: dict[int, net.AuxHead] = {}
     accs: dict[int, tuple[float, float | None]] = {}
-    for tap in taps:
+    for tap, (train, val) in sorted(pooled.items()):
         head = heads[tap] = net.init_aux_head(
             spec, tap, derive_seed(config.seed, f"probe:{tap}"))
-        xt = f_train[tap - 1]
-        xv = None if f_val is None else f_val[tap - 1]
 
         def step(idx):
             loss, d = nm.softmax_cross_entropy(
-                nm.dense(xt[idx], head.weights, head.bias), train.y[idx])
-            _, d_w, d_b = nm.dense_backward(xt[idx], head.weights, d)
+                nm.dense(train.x[idx], head.weights, head.bias), train.y[idx])
+            _, d_w, d_b = nm.dense_backward(train.x[idx], head.weights, d)
             return loss, [head.weights, head.bias], [d_w, d_b]
 
         def val_loss():
-            return nm.softmax_cross_entropy(nm.dense(xv, head.weights, head.bias), val.y)[0]
+            return nm.softmax_cross_entropy(nm.dense(val.x, head.weights, head.bias), val.y)[0]
 
-        fit(step, len(xt), config, make_rng(derive_seed(config.seed, f"order:probe{tap}")),
-            None if xv is None else val_loss, f"probe at tap {tap}")
+        fit(step, len(train.x), config, make_rng(derive_seed(config.seed, f"order:probe{tap}")),
+            None if val is None else val_loss, f"probe at tap {tap}")
 
-        def acc(x, y):
-            return float((nm.dense(x, head.weights, head.bias).argmax(axis=1) == y).mean())
-        accs[tap] = (acc(xt, train.y), None if xv is None else acc(xv, val.y))
+        def acc(data):
+            return float((nm.dense(data.x, head.weights, head.bias).argmax(axis=1)
+                          == data.y).mean())
+        accs[tap] = (acc(train), None if val is None else acc(val))
     return heads, accs

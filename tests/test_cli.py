@@ -235,19 +235,26 @@ def test_final_row_is_last_stage_accuracy(pipeline):
         assert final[3:] == last[3:] and final[3] != "" and final[4] != ""
 
 
-def test_train_forwards_taps_only_in_probes(tmp_path, monkeypatch):
-    """Stage accuracies come from the training passes: the only full-network
-    forwards of ``train`` are the probes' taps-only ones."""
+def test_train_forwards_each_row_once_per_pass(tmp_path, monkeypatch):
+    """Each stage forwards its rows in its SGD steps, its val passes and one
+    accuracy pass on train; the last val pass is its accuracy pass on val.
+    The probes train on the taps those passes pooled and forward nothing."""
     from layerlens import training as tr
 
     cfg_path = make_config(tmp_path)
+    spec = load_config(cfg_path).spec
     assert main(["--config", str(cfg_path), "generate"]) == 0
-    forward, probes = net.forward_with_taps, tr.train_probes
-    calls, in_probes = [], []
+    run_span, forward, probes = net.run_span, net.forward_with_taps, tr.train_probes
+    rows, in_probes, probe_forwards = {}, [], []
 
-    def counted(spec, params, batch, depth=None):
-        calls.append((bool(in_probes), depth))
-        return forward(spec, params, batch, depth)
+    def counted_span(spec, params, x, lo, hi, want_caches=False):
+        probe_forwards.extend(in_probes)
+        rows[lo] = rows.get(lo, 0) + len(x)
+        return run_span(spec, params, x, lo, hi, want_caches)
+
+    def counted_forward(*args, **kwargs):
+        probe_forwards.extend(in_probes)
+        return forward(*args, **kwargs)
 
     def probing(*args, **kwargs):
         in_probes.append(True)
@@ -255,13 +262,23 @@ def test_train_forwards_taps_only_in_probes(tmp_path, monkeypatch):
             return probes(*args, **kwargs)
         finally:
             in_probes.pop()
-    monkeypatch.setattr(net, "forward_with_taps", counted)
+    monkeypatch.setattr(net, "run_span", counted_span)
+    monkeypatch.setattr(net, "forward_with_taps", counted_forward)
     monkeypatch.setattr(tr, "train_probes", probing)
-    for scheme in ("e2e", "cl"):
-        calls.clear()
+    n_train, n_val = 24, 12
+    # the first layer of each stage: E2E's, or each cascade stage's and the tail's
+    for scheme, report, firsts in (
+            ("e2e", "e2e", [0]),
+            ("cl", "cl_k6", [spec.after_tap(t) for t in range(spec.tap_count + 1)])):
+        rows.clear()
         assert main(["--config", str(cfg_path), "train", "--scheme", scheme]) == 0
-        # one batch of the 24 train and one of the 12 val rows at probe batch 64
-        assert calls == [(True, 6), (True, 6)]
+        assert probe_forwards == []
+        _, _, csv_rows = read_csv(tmp_path / "run" / f"train_report_{report}.csv")
+        stages = [r[1] for r in csv_rows if r[0] == "stage_acc"]
+        epochs = [sum(r[0] == "loss" and r[1] == name for r in csv_rows) for name in stages]
+        assert len(stages) == len(firsts) and all(e > 0 for e in epochs)
+        assert {lo: rows[lo] for lo in firsts} == {
+            lo: e * (n_train + n_val) + n_train for lo, e in zip(firsts, epochs)}
 
 
 def test_explain_outputs_and_equivalence(pipeline):

@@ -22,6 +22,28 @@ from layerlens.training import TrainConfig, cache_frozen_features
 
 
 # ---------------------------------------------------------------------------
+# sigmoid
+
+
+def masked_sigmoid(x):
+    """The boolean-mask form _sigmoid replaced: the byte oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bytes_equal_masked_form():
+    rng = make_rng(0)
+    x = rng.standard_normal((32, 4, 4, 2, 5)) * 8
+    x.flat[:8] = [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 36.7, -745.0]
+    got, ref = dt._sigmoid(x), masked_sigmoid(x)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # target encoding
 
 

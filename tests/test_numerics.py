@@ -242,6 +242,59 @@ def test_relu_backward_away_from_kink(seed):
     assert rel_err(nm.relu_backward(x, up), nm.finite_diff_grad(loss, x, 1e-6)) < 1e-6
 
 
+def where_relu_backward(x, d_out):
+    """The np.where form relu_backward replaced: the byte oracle."""
+    return np.where(x > 0, d_out, 0.0)
+
+
+def tie_grid(shape, seed):
+    """Relu'd values from a few levels (ties and zeros), and gradients with
+    zeros, -0.0 and negatives."""
+    rng = make_rng(seed)
+    x = nm.relu(rng.integers(-2, 3, size=shape).astype(float))
+    d = rng.standard_normal(shape)
+    d[rng.random(shape) < 0.2] = 0.0
+    d[rng.random(shape) < 0.2] = -0.0
+    return x, d
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(32, 8, 32, 32), (3, 2, 7, 5)])
+def test_relu_backward_bytes_equal_where_form(shape):
+    x, d = tie_grid(shape, shape[0])
+    x[0, 0, 0, :3] = [-0.0, 0.0, -1.5]  # signed zeros and a negative input
+    # a -0.0 gradient at x > 0 is the one input the two forms differ on
+    # (+0.0 here, -0.0 there); no caller produces it
+    d[(x > 0) & (d == 0)] = 0.0
+    got = nm.relu_backward(x, d)
+    assert same_bytes(got, where_relu_backward(x, d))
+    assert not np.signbit(got[got == 0]).any()
+
+
+def where_maxpool2d_backward(x, d_out, window):
+    """The np.where form maxpool2d_backward replaced: the byte oracle."""
+    pooled = nm.maxpool2d(x, window)
+    d_x = np.zeros(x.shape)
+    taken = np.zeros(pooled.shape, dtype=bool)
+    for idx in nm._pool_offsets(x.shape, window):
+        hit = (x[idx] == pooled) & ~taken
+        taken |= hit
+        d_x[idx] += np.where(hit, d_out, 0.0)
+    return d_x
+
+
+@pytest.mark.parametrize("shape", [(32, 8, 32, 32), (32, 16, 16, 16), (3, 2, 7, 5)])
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool_backward_bytes_equal_where_form(shape, window):
+    x, _ = tie_grid(shape, shape[1] + window)
+    _, d = tie_grid(nm.maxpool2d(x, window).shape, shape[2] + window)
+    assert same_bytes(nm.maxpool2d_backward(x, d, window),
+                      where_maxpool2d_backward(x, d, window))
+
+
 # ---------------------------------------------------------------------------
 # maxpool
 

@@ -40,6 +40,27 @@ def two_bar_set(n, edge=12, seed=0):
     return tr.LabelledSet(x, y)
 
 
+def pooled_taps(spec, params, train, val=None, batch_size=64):
+    """Each tap's (h, w) means from a ``batch_size`` forward_with_taps over
+    the images, in ``train_probes``' input form: the path the probes once
+    took themselves, kept as the oracle for the stages' pooled taps."""
+    taps = range(1, spec.tap_count + 1)
+
+    def pooled(xb):
+        _, acts = net.forward_with_taps(spec, params, xb, depth=spec.tap_count)
+        return tuple(acts[t].mean(axis=(2, 3)) for t in taps)
+
+    f_train = tr.map_batches(pooled, batch_size, train.x)
+    f_val = None if val is None else tr.map_batches(pooled, batch_size, val.x)
+    return {t: (tr.LabelledSet(f_train[t - 1], train.y),
+                None if f_val is None else tr.LabelledSet(f_val[t - 1], val.y))
+            for t in taps}
+
+
+def stage_pooled(stages):
+    return {tap: sets for stage in stages for tap, sets in stage.pooled.items()}
+
+
 @pytest.fixture(scope="module")
 def small_spec():
     layers = [
@@ -186,7 +207,7 @@ def test_cascade_frozen_prefix_bitwise(small_spec):
     snapshot = [None if b is None else tuple(a.copy() for a in b) for b in params.blocks]
 
     # further probe training must leave everything untouched
-    tr.train_probes(small_spec, params, data, tr.TrainConfig(epochs=2, seed=1))
+    tr.train_probes(small_spec, stage_pooled(stages), tr.TrainConfig(epochs=2, seed=1))
     assert blocks_equal(params.blocks, snapshot)
     conv_layers = [i for i, l in enumerate(small_spec.layers) if isinstance(l, net.Conv)]
     assert all(params.frozen[i] for i in conv_layers)
@@ -251,7 +272,8 @@ def test_probes_leave_backbone_untouched(small_spec):
     data = two_bar_set(32, seed=7)
     params = net.init_params(small_spec, 3)
     snapshot = [None if b is None else tuple(a.copy() for a in b) for b in params.blocks]
-    heads, accs = tr.train_probes(small_spec, params, data, tr.TrainConfig(epochs=2, seed=2))
+    heads, accs = tr.train_probes(small_spec, pooled_taps(small_spec, params, data, batch_size=32),
+                                  tr.TrainConfig(epochs=2, seed=2))
     assert blocks_equal(params.blocks, snapshot)
     assert sorted(heads) == [1, 2]
     assert sorted(accs) == [1, 2]
@@ -264,7 +286,8 @@ def test_probes_on_random_backbone_near_chance(small_spec):
     val = two_bar_set(200, seed=9)
     params = net.init_params(small_spec, 19)
     _, accs = tr.train_probes(
-        small_spec, params, train, tr.TrainConfig(epochs=6, lr=0.05, seed=4), val=val)
+        small_spec, pooled_taps(small_spec, params, train, val, batch_size=32),
+        tr.TrainConfig(epochs=6, lr=0.05, seed=4))
     for tap, (_, val_acc) in accs.items():
         assert abs(val_acc - 0.5) <= 0.1, f"tap {tap}: val acc {val_acc}"
 
@@ -273,8 +296,43 @@ def test_probe_at_final_tap_tracks_training_accuracy(small_spec):
     data = two_bar_set(160, seed=10)
     cfg = tr.TrainConfig(epochs=12, lr=0.05, seed=23)
     params, stages = tr.train_e2e(small_spec, data, cfg)
-    _, accs = tr.train_probes(small_spec, params, data, tr.TrainConfig(epochs=12, lr=0.1, seed=5))
+    _, accs = tr.train_probes(small_spec, stages[0].pooled,
+                              tr.TrainConfig(epochs=12, lr=0.1, seed=5))
     assert accs[small_spec.tap_count][0] >= stages[0].train_acc - 0.05
+
+
+@pytest.mark.parametrize("widths", [(8, 8, 16, 16, 32, 32), (4, 4, 6, 6, 8, 8)],
+                         ids=["preset", "narrow"])
+@pytest.mark.parametrize("k", [None, 6, 2], ids=["e2e", "cl6", "cl2"])
+@pytest.mark.parametrize("epochs, with_val, patience",
+                         [(2, True, 3), (4, True, 1), (0, True, 3), (1, False, 3)])
+def test_stage_pooled_taps_equal_batch64_forward(widths, k, epochs, with_val, patience):
+    """The taps the stages' accuracy passes pool (batch 32, each stage from
+    its cached input) equal, byte for byte, the means of a batch-64 forward
+    of the trained backbone from the images, and so do the probes trained
+    on them. Tap rows do not depend on their batch on these nets."""
+    spec = net.build_six_layer_net((1, 32, 32), 3, widths)
+    rng = make_rng(len(widths) + sum(widths) + epochs)
+    train = tr.LabelledSet(rng.random((40, 1, 32, 32)), rng.integers(0, 3, 40))
+    val = tr.LabelledSet(rng.random((21, 1, 32, 32)), rng.integers(0, 3, 21)) if with_val else None
+    cfg = tr.TrainConfig(epochs=epochs, lr=0.05, patience=patience, seed=9)
+    if k is None:
+        params, stages = tr.train_e2e(spec, train, cfg, val)
+    else:
+        params, stages = tr.train_cascade(spec, train, cfg, tr.make_split_plan(6, k), val)
+    pooled, oracle = stage_pooled(stages), pooled_taps(spec, params, train, val)
+    assert sorted(pooled) == sorted(oracle) == [1, 2, 3, 4, 5, 6]
+    for tap in oracle:
+        assert (pooled[tap][1] is None) == (oracle[tap][1] is None) == (val is None)
+        for got, want in zip(pooled[tap], oracle[tap]):
+            if want is not None:
+                assert got.x.tobytes() == want.x.tobytes() and got.x.shape == want.x.shape
+                assert np.array_equal(got.y, want.y)
+    pcfg = tr.TrainConfig(epochs=3, lr=0.1, batch_size=64, seed=5)
+    heads, accs = tr.train_probes(spec, pooled, pcfg)
+    heads_o, accs_o = tr.train_probes(spec, oracle, pcfg)
+    assert accs == accs_o
+    assert all(np.array_equal(heads[t].weights, heads_o[t].weights) for t in heads_o)
 
 
 # ---------------------------------------------------------------------------
