@@ -190,8 +190,9 @@ def _save_heatmap(values: np.ndarray, path: Path) -> None:
 
 
 # LIME perturbations scored per forward pass: larger batches stop paying at
-# about 8 on the preset net, while each thread's layer-1 im2col copy (and so
-# peak memory) keeps growing with the batch
+# about 8 on the preset net. conv2d builds its patch matrix one slab of at
+# most 512 KiB (or one image) at a time, so a larger batch no longer grows
+# that copy, only the activations each thread holds
 LIME_BATCH = 8
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .data import SHAPE_KINDS, ShapeSpec
+from .data import SHAPE_KINDS, ShapeSpec, planned_split_counts
 from .errors import ConfigError, ShapeError, SpecError
 from .network import NetworkSpec, build_six_layer_net
 from .training import TrainConfig
@@ -218,6 +218,10 @@ def _semantic_checks(cfg: dict) -> NetworkSpec:
         ("granulometry.max_size", cfg["granulometry"]["max_size"])]
     for where, value in at_least_one:
         _require(where, value, value >= 1, ">= 1")
+    n = data["n_images"]
+    if planned_split_counts(n, data["class_count"], fractions)["train"] == 0:
+        raise ConfigError("dataset.split_fractions: must give the train split at least "
+                          f"one of the {n} images, got {fractions}")
     for section in ("explain", "granulometry"):
         p = cfg[section]["percentile"]
         _require(f"{section}.percentile", p, 0 < p < 100, "in (0, 100)")

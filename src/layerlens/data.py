@@ -267,6 +267,18 @@ def read_image(path) -> np.ndarray:
 # splits
 
 
+def _split_sizes(fractions, n: int) -> list[int]:
+    """One class's image count per split: ``fractions`` of ``n``, rounded
+    down, then the largest remainders rounded up until they sum to ``n``."""
+    counts = [int(np.floor(f * n)) for f in fractions]
+    remainders = [f * n - c for f, c in zip(fractions, counts)]
+    while sum(counts) < n:
+        i = int(np.argmax(remainders))
+        counts[i] += 1
+        remainders[i] = -1
+    return counts
+
+
 def split_dataset(manifest: DatasetManifest, fractions, seed: int) -> DatasetManifest:
     """Assign train/val/test splits, stratified per class.
 
@@ -287,15 +299,8 @@ def split_dataset(manifest: DatasetManifest, fractions, seed: int) -> DatasetMan
     for label in labels:
         idx = [a.image_id for a in manifest.annotations if a.label == label]
         order = rng.permutation(len(idx))
-        n = len(idx)
-        counts = [int(np.floor(f * n)) for f in fractions]
-        remainders = [f * n - c for f, c in zip(fractions, counts)]
-        while sum(counts) < n:
-            i = int(np.argmax(remainders))
-            counts[i] += 1
-            remainders[i] = -1
         start = 0
-        for split, count in zip(SPLIT_NAMES, counts):
+        for split, count in zip(SPLIT_NAMES, _split_sizes(fractions, len(idx))):
             for j in order[start:start + count]:
                 assignment[idx[j]] = split
             start += count
@@ -307,6 +312,21 @@ def split_dataset(manifest: DatasetManifest, fractions, seed: int) -> DatasetMan
 
 # ---------------------------------------------------------------------------
 # generation
+
+
+def _label(i: int, class_count: int) -> int:
+    """The class of generated image ``i``: the classes take turns."""
+    return i % class_count
+
+
+def planned_split_counts(n_images: int, class_count: int, fractions) -> dict[str, int]:
+    """Images per split of the dataset that ``generate_shapes_dataset`` makes
+    with these arguments, before it writes anything: each class is cut by
+    ``split_dataset``'s largest-remainder rule."""
+    class_sizes = np.bincount([_label(i, class_count) for i in range(n_images)],
+                              minlength=class_count)
+    per_class = [_split_sizes(fractions, int(size)) for size in class_sizes]
+    return {split: sum(sizes[j] for sizes in per_class) for j, split in enumerate(SPLIT_NAMES)}
 
 
 def generate_shapes_dataset(
@@ -329,7 +349,7 @@ def generate_shapes_dataset(
     images = {}
     for i in range(n_images):
         rng = make_rng(derive_seed(seed, f"image:{i}"))
-        label = i % class_count
+        label = _label(i, class_count)
         img, box = render_image(spec, class_names[label], rng)
         image_id = f"{i:06d}"
         annotations.append(Annotation(image_id, "", label,

@@ -308,10 +308,10 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
     ``d``, even when it is the last tap: taps start+1..d are captured and
     the first element is None.
 
-    A row's class scores do not depend on the rest of its batch: the layers
-    after the last tap run one row at a time. Conv rows equal their batch-1
-    values wherever BLAS multiplies one image's patches and a batch's with
-    the same kernel, as it does for every layer of the preset net.
+    A row's class scores do not depend on the rest of its batch:
+    ``numerics.conv2d`` multiplies each image's patches on their own,
+    whatever its slab, and the layers after the last tap run one row at a
+    time.
     """
     x = _check_batch(spec, batch, start)
     full = depth is None

@@ -28,28 +28,45 @@ def check_tensor4(x, name: str = "input") -> np.ndarray:
     return x
 
 
-def _patches(x: np.ndarray, k: int) -> np.ndarray:
-    """Kernel-major patch matrix ("im2col") of ``x`` zero-padded by k // 2,
-    shape (c*k*k, n*h*w).
+# conv2d (k > 1) builds and multiplies its patch matrix in slabs of whole
+# images, each at most this many bytes of patch rows (at least one image)
+_SLAB_BYTES = 512 << 10
 
-    Rows run over (channel, kernel row, kernel column) and columns over
-    (image, output row, output column), so each contiguous run the copy
-    makes is one whole output row.
-    """
-    n, c, h, w = x.shape
+
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """(n, c, h, w, k, k) view of every k x k window of ``x`` zero-padded by k // 2."""
+    if k == 1:  # x itself, without sliding_window_view's call cost
+        return x[..., None, None]
     p = k // 2
-    if p:  # zeros plus a copy: the values of np.pad, faster on small batches
-        padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        padded[:, :, p:p + h, p:p + w] = x
-        x = padded
-    win = sliding_window_view(x, (k, k), axis=(2, 3))
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+    n, c, h, w = x.shape
+    # zeros plus a copy: the values of np.pad, faster on small batches
+    padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    padded[:, :, p:p + h, p:p + w] = x
+    return sliding_window_view(padded, (k, k), axis=(2, 3))
 
 
 def conv2d(x, kernel, bias=None) -> Tensor4:
     """Cross-correlation of ``x`` (n, c, h, w) with ``kernel`` (out_c, c, k, k),
     odd k, at stride 1 over ``x`` zero-padded by k // 2: the output keeps
-    the input's height and width."""
+    the input's height and width.
+
+    The output is the flattened kernel times the kernel-major patch matrix
+    P ("im2col", shape (c*k*k, n*h*w)): rows run over (channel, kernel row,
+    kernel column) and columns over (image, output row, output column), so
+    each contiguous run the copy makes is one whole output row. The product
+    is one GEMM per image: an image's product, (out_c, h*w), is its block
+    of the output, so the GEMM writes it in place and nothing is copied
+    transposed. P is built one slab of whole images at a time, each at most
+    ``_SLAB_BYTES`` (at least one image), so a slab is multiplied while it
+    is still in cache. A 1x1 kernel's P is ``x`` itself, not a copy, and is
+    one slab.
+
+    Every output column is the same kernel row times the same patch column
+    in any slab, and BLAS sums it over c*k*k in the same order whatever
+    the GEMM's width, so neither the slabs nor the per-image GEMMs move a
+    bit: the tests compare bytes with a window-layout reference at batches
+    of 1 to 150, with short last slabs.
+    """
     x = check_tensor4(x, "conv input")
     kernel = as_f64(kernel)
     if kernel.ndim != 4:
@@ -63,8 +80,14 @@ def conv2d(x, kernel, bias=None) -> Tensor4:
         )
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"conv kernel {kernel.shape[2:]} is not square with an odd edge")
-    y = kernel.reshape(out_c, -1) @ _patches(x, kh)
-    y = np.ascontiguousarray(y.reshape(out_c, n, h, w).transpose(1, 0, 2, 3))
+    rows, win = kernel.reshape(out_c, -1), _windows(x, kh)
+    image_bytes = 8 * c * kh * kh * h * w
+    slab = max(1, _SLAB_BYTES // image_bytes if kh > 1 and image_bytes else n)
+    y = np.empty((n, out_c, h, w))
+    for a in range(0, n, slab):
+        part = win[a:a + slab]  # each image's columns of P, as (images, c*k*k, h*w)
+        patches = part.transpose(0, 1, 4, 5, 2, 3).reshape(len(part), -1, h * w)
+        np.matmul(rows, patches, out=y[a:a + slab].reshape(len(part), out_c, h * w))
     if bias is not None:
         bias = as_f64(bias)
         if bias.shape != (out_c,):
@@ -76,48 +99,55 @@ def conv2d(x, kernel, bias=None) -> Tensor4:
 def conv2d_param_grads(x, kernel_shape, d_out):
     """Kernel/bias gradients only (cheaper when the input is frozen).
 
-    The kernel gradient is one product of d_out, as D of shape
-    (out_c, n*h*w), with the kernel-major patch matrix P = ``_patches(x, k)``
-    of shape (c*k*k, n*h*w) that ``conv2d`` uses. P is rebuilt here, not
-    held from the forward: holding it adds about a quarter to training's
-    peak memory. The form of the product keeps its bits equal to those of
-    the tests' reference, a product in the (n*h*w, c*k*k) window layout,
-    on the preset net and the detection head at every batch:
+    The kernel gradient is one product ``D @ W``: D is d_out as a contiguous
+    (out_c, n*h*w) matrix and W the contiguous (n*h*w, k*k*c) window
+    matrix, copied once from a channels-last copy of ``x`` zero-padded by
+    k // 2, so each run the copy makes is one pixel's c channels. The
+    product's columns run over (kernel row, kernel column, channel) and are
+    put in the kernel's (channel, row, column) order afterwards. On a 1x1
+    kernel (the detection head) W is ``x`` in channels-last order.
 
-    - several input channels: ``(P @ Dt).T`` with Dt the contiguous
-      (n*h*w, out_c) transpose of D. ``D @ P.T`` on the view differs in
-      the last bits (preset layer 1 at one image, layer 2 at up to three).
-    - one input channel or a 1x1 kernel: ``D @ Pt`` with Pt the contiguous
-      copy of P.T. On one channel Pt has only k*k columns, and ``(P @ Dt).T``
-      differs there on batches of 13 images or fewer. On a 1x1 kernel (the
-      detection head) Pt is ``x`` in channels-last order, copied once
-      without building P; this is faster than ``(P @ Dt).T`` there.
+    The sum runs over n*h*w as in the tests' reference, the (out_c, n*h*w)
+    by (n*h*w, c*k*k) product of ``np.tensordot``, and the column order
+    moves no bit on the preset net and the detection head, whose bytes the
+    tests compare with the reference at every batch tried. Where OpenBLAS
+    takes its small-matrix kernels on narrower layers (4 input channels at
+    batches of up to 18), the bits depend on the column order and differ
+    from the reference's.
+
+    W is built whole, unlike ``conv2d``'s slabs: splitting the sum over
+    n*h*w by images changes its bits. Nor is it held from the forward:
+    holding every layer's patch matrix over an E2E step was no faster in 3
+    benchmark pairs and raised the train workload's peak RSS from 112 to
+    154 MiB.
 
     Two traps:
 
-    - The result is C-contiguous, although the ``(P @ Dt).T`` view has the
-      same values and the same ``tobytes()``: ``training.clip_gradients``
-      sums in C order whatever the layout, so a view would keep its bits,
-      but would cost it a copy of every kernel gradient.
-    - At one image, ``d_out.transpose(0, 2, 3, 1).reshape(-1, out_c)`` is
-      a strided view (h and w merge), and BLAS then takes another kernel
-      whose bits differ; hence every operand is copied contiguous.
+    - The result is C-contiguous: ``training.clip_gradients`` sums in C
+      order whatever the layout, so a view would keep its bits, but would
+      cost it a copy of every kernel gradient.
+    - At one image, ``d_out.transpose(1, 0, 2, 3).reshape(out_c, -1)`` and
+      a 1x1 kernel's window matrix are strided views (h and w merge), and
+      BLAS then takes another kernel whose bits differ; hence both operands
+      are copied contiguous.
     """
     x = check_tensor4(x, "conv input")
     d_out = check_tensor4(d_out, "conv upstream gradient")
-    out_c, c, k = d_out.shape[1], x.shape[1], kernel_shape[2]
-    if c > 1 and k > 1:
-        d_t = np.ascontiguousarray(d_out.transpose(0, 2, 3, 1)).reshape(-1, out_c)
-        d_kernel = np.ascontiguousarray((_patches(x, k) @ d_t).T)
-    else:
-        d = np.ascontiguousarray(d_out.transpose(1, 0, 2, 3)).reshape(out_c, -1)
-        if k == 1:  # P.T is x in channels-last order
-            patches_t = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, c)
-        else:
-            patches_t = np.ascontiguousarray(_patches(x, k).T)
-        d_kernel = d @ patches_t
+    n, c, h, w = x.shape
+    out_c, k = d_out.shape[1], kernel_shape[2]
+    x = x.transpose(0, 2, 3, 1)
+    if k == 1:  # x itself, without sliding_window_view's call cost
+        win = x[..., None, None]
+    else:  # as in _windows, channels last
+        p = k // 2
+        padded = np.zeros((n, h + 2 * p, w + 2 * p, c))
+        padded[:, p:p + h, p:p + w] = x
+        win = sliding_window_view(padded, (k, k), axis=(1, 2))  # (n, h, w, c, k, k)
+    windows = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, k * k * c)
+    d = np.ascontiguousarray(d_out.transpose(1, 0, 2, 3)).reshape(out_c, -1)
+    d_kernel = (d @ windows).reshape(out_c, k, k, c).transpose(0, 3, 1, 2)
     d_bias = d_out.sum(axis=(0, 2, 3))
-    return d_kernel.reshape(kernel_shape), d_bias
+    return np.ascontiguousarray(d_kernel).reshape(kernel_shape), d_bias
 
 
 def conv2d_backward(x, kernel, d_out, *, want_input: bool = True, want_params: bool = True):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -456,11 +457,50 @@ def test_detect_zero_head_seeds_exit_2(pipeline, monkeypatch, capsys):
     assert not (out / "detect_weights_e2e_tap5").exists()
 
 
-def test_empty_train_split_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("fractions", [[0.0, 0.5, 0.5], [0.05, 0.5, 0.45]])
+def test_empty_train_split_config_exit_2(tmp_path, capsys, fractions):
+    """Refused at load, before generating: 12 images in 3 classes leave 4
+    per class, and 0.05 of 4 loses its remainder to the test split."""
     cfg_path = make_config(tmp_path, dataset={
         "n_images": 12, "image_edge": 32, "class_count": 3, "noise": 0.2,
-        "split_fractions": [0.0, 0.5, 0.5]})
+        "split_fractions": fractions})
+    assert main(["--config", str(cfg_path), "generate"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: dataset.split_fractions: must give the train split at least one "
+        f"of the 12 images, got {fractions}\n")
+    assert not (tmp_path / "run").exists()
+    load_config(make_config(tmp_path, dataset={
+        "n_images": 12, "image_edge": 32, "class_count": 3, "noise": 0.2,
+        "split_fractions": [0.2, 0.5, 0.3]}))  # 0.2 of 4 rounds up to one
+
+
+def test_train_split_count_follows_uneven_classes(tmp_path, capsys):
+    """13 images in 3 classes hold 5, 4 and 4: at 0.1 only the class of 5
+    keeps a train row (0.1 of 4 loses its remainder), so the load accepts
+    the config and generate makes exactly one train image."""
+    cfg_path = make_config(tmp_path, dataset={
+        "n_images": 13, "image_edge": 32, "class_count": 3, "noise": 0.2,
+        "split_fractions": [0.1, 0.45, 0.45]})
     assert main(["--config", str(cfg_path), "generate"]) == 0
+    assert "(train=1, val=6, test=6)" in capsys.readouterr().out
+
+
+def _generate_without_train_rows(tmp_path):
+    """A generated 12-image dataset whose manifest lists no train rows: the
+    config load refuses such fractions, so its train rows become val rows."""
+    cfg_path = make_config(tmp_path, dataset={
+        "n_images": 12, "image_edge": 32, "class_count": 3, "noise": 0.2,
+        "split_fractions": [0.5, 0.25, 0.25]})
+    assert main(["--config", str(cfg_path), "generate"]) == 0
+    path = tmp_path / "run" / "dataset" / "manifest.txt"
+    manifest = dat.load_manifest(path)
+    dat.save_manifest(replace(manifest, annotations=[
+        replace(a, split="val") if a.split == "train" else a for a in manifest.annotations]), path)
+    return cfg_path
+
+
+def test_empty_train_split_exit_1(tmp_path, capsys):
+    cfg_path = _generate_without_train_rows(tmp_path)
     capsys.readouterr()
     assert main(["--config", str(cfg_path), "train", "--scheme", "e2e"]) == 1
     err = capsys.readouterr().err
@@ -468,8 +508,8 @@ def test_empty_train_split_exit_1(tmp_path, capsys):
     # zero epochs train nothing, but the stage accuracies still need rows
     cfg_path = make_config(tmp_path, dataset={
         "n_images": 12, "image_edge": 32, "class_count": 3, "noise": 0.2,
-        "split_fractions": [0.0, 0.5, 0.5]}, train={"e2e": {"epochs": 0},
-                                                    "cascade": {"epochs": 0}})
+        "split_fractions": [0.5, 0.25, 0.25]}, train={"e2e": {"epochs": 0},
+                                                      "cascade": {"epochs": 0}})
     for scheme, stage in (("e2e", "e2e"), ("cl", "cl_stage1_taps1-1")):
         assert main(["--config", str(cfg_path), "train", "--scheme", scheme]) == 1
         assert capsys.readouterr().err == f"error: no training rows for stage '{stage}'\n"
@@ -479,10 +519,7 @@ def test_detect_empty_train_split_exit_1(pipeline, tmp_path, monkeypatch, capsys
     from layerlens import training as tr
 
     _, pipeline_out = pipeline
-    cfg_path = make_config(tmp_path, dataset={
-        "n_images": 12, "image_edge": 32, "class_count": 3, "noise": 0.2,
-        "split_fractions": [0.0, 0.5, 0.5]})
-    assert main(["--config", str(cfg_path), "generate"]) == 0
+    cfg_path = _generate_without_train_rows(tmp_path)
 
     def never(*args, **kwargs):
         raise AssertionError("features cached for an empty train split")

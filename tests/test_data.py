@@ -362,6 +362,19 @@ def test_split_balance_three_classes():
     assert sum(len(out.by_split(s)) for s in ds.SPLIT_NAMES) == 600
 
 
+@pytest.mark.parametrize("n, classes, fractions", [
+    (12, 3, (0.05, 0.5, 0.45)), (13, 3, (0.1, 0.45, 0.45)), (14, 4, (0.7, 0.15, 0.15)),
+    (2, 3, (0.5, 0.25, 0.25))])
+def test_planned_split_counts_equal_generated(tmp_path, n, classes, fractions):
+    """The counts the config check reads before generating are those of the
+    dataset ``generate_shapes_dataset`` then writes, also with uneven
+    classes and classes that get no image."""
+    spec = ds.ShapeSpec(image_edge=16, size_range=(4, 8))
+    m = ds.generate_shapes_dataset(spec, n, classes, seed=2, out_dir=tmp_path,
+                                   split_fractions=fractions)
+    assert ds.planned_split_counts(n, classes, fractions) == m.split_counts()
+
+
 def test_split_empty_manifest_rejected():
     spec = ds.ShapeSpec()
     m = ds.DatasetManifest(1, ("a",), 0, spec, [])

@@ -172,6 +172,65 @@ def test_conv_backward_equals_reference_on_preset_layers(layer):
             assert np.array_equal(d_x, ref_x)
 
 
+def whole_product_conv(x, kernel):
+    """The conv as one product of the flattened kernel with the whole
+    kernel-major patch matrix of the batch."""
+    n, c, h, w = x.shape
+    out_c, _, k, _ = kernel.shape
+    win = reference_windows(x, k, k // 2)
+    patches = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+    y = kernel.reshape(out_c, -1) @ patches
+    return np.ascontiguousarray(y.reshape(out_c, n, h, w).transpose(1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("layer", range(6))
+def test_conv_slabs_equal_reference_bytes(layer):
+    """Batches that conv2d builds in several slabs, most with a short last
+    slab: the forward, the input gradient and the kernel gradient keep the
+    reference's bytes, signed zeros included. Layer 0's input gradient (one
+    output channel), whose last bits the reference does not share, is
+    compared with the whole product instead."""
+    c_in, c_out, side = PRESET_CONVS[layer]
+    rng = make_rng(600 + layer)
+    k = rng.standard_normal((c_out, c_in, 3, 3))
+    b = rng.standard_normal(c_out)
+    slab = max(1, nm._SLAB_BYTES // (8 * c_in * 9 * side * side))
+    batches = (15, 16, 29, 33, 64, 150)
+    assert all(n > slab for n in batches)
+    assert slab == 1 or any(n % slab for n in batches)
+    for n in batches:
+        x = rng.standard_normal((n, c_in, side, side))
+        x[x < -1.5] = -0.0
+        up = rng.standard_normal((n, c_out, side, side))
+        up[up < -1.5] = -0.0
+        up[n // 2] = -0.0  # an image whose input gradient is all zeros
+        assert same_bytes(nm.conv2d(x, k, b), conv2d_reference(x, k, b, 1))
+        d_x, d_k, _ = nm.conv2d_backward(x, k, up, want_params=n <= 64)
+        if layer == 0:
+            assert same_bytes(d_x, whole_product_conv(up, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+        else:
+            assert same_bytes(d_x, conv2d_input_grad_reference(x, k, up, 1))
+        if d_k is not None:
+            assert d_k.tobytes() == kernel_grad_reference(x, up, 3).tobytes()
+
+
+def test_conv_one_slab_bytes_unchanged():
+    """A 1x1 kernel, whose patch matrix is a view of ``x`` and never sliced
+    into slabs, on a 9.4 MB matrix and on the detection head's 4x4 grid,
+    and preset layer 0 at the largest batch that fits one slab, give the
+    bytes of the one whole product."""
+    rng = make_rng(700)
+    for shape, kernel_shape in (((16, 72, 32, 32), (13, 72, 1, 1)),
+                                ((3, 144, 4, 4), (13, 144, 1, 1)),
+                                ((7, 1, 32, 32), (8, 1, 3, 3))):
+        x = rng.standard_normal(shape)
+        k = rng.standard_normal(kernel_shape)
+        b = rng.standard_normal(kernel_shape[0])
+        if kernel_shape[2] > 1:
+            assert 7 * 8 * 9 * 32 * 32 <= nm._SLAB_BYTES < 8 * 8 * 9 * 32 * 32
+        assert same_bytes(nm.conv2d(x, k, b), whole_product_conv(x, k) + b[None, :, None, None])
+
+
 @pytest.mark.parametrize("c", [8, 16, 32])
 def test_param_grads_equal_reference_on_head_shapes(c):
     """The detection head's 1x1 kernel gradient over pooled patches of a tap
@@ -186,6 +245,22 @@ def test_param_grads_equal_reference_on_head_shapes(c):
         assert d_k.tobytes() == kernel_grad_reference(q, d, 1).tobytes()
         assert d_k.flags.c_contiguous
         assert np.array_equal(d_b, d.sum(axis=(0, 2, 3)))
+
+
+def test_one_image_1x1_param_grads_multiply_contiguous_windows():
+    """At one image a 1x1 kernel's window matrix, ``x`` in channels-last
+    order, reshapes to a strided view (h and w merge). The kernel gradient
+    multiplies a contiguous copy, as at every other batch: the view would
+    make BLAS take another kernel, whose bits differ on an 8x8 map with 32
+    channels."""
+    rng = make_rng(450)
+    for n, c, side in ((1, 32, 8), (1, 8, 4), (2, 32, 8)):
+        x = rng.standard_normal((n, c, side, side))
+        d = rng.standard_normal((n, 13, side, side))
+        d_k, _ = nm.conv2d_param_grads(x, (13, c, 1, 1), d)
+        rows = np.ascontiguousarray(d.transpose(1, 0, 2, 3)).reshape(13, -1)
+        windows = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, c)
+        assert d_k.reshape(13, c).tobytes() == (rows @ windows).tobytes()
 
 
 @pytest.mark.parametrize("c_in, k", [(1, 3), (4, 1), (2, 5)])
