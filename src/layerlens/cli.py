@@ -201,26 +201,26 @@ def _image_maps(params, ann, image, cfg, methods, taps, percentile):
 
     Each method runs once: Grad-CAM at every tap and saliency share one forward
     and one backward pass, and saliency and LIME give one map for all taps.
-    Grad-CAM and saliency heatmaps are the smoothed maps, binarised at
-    ``percentile``; LIME's is its clipped patch-weight map, and its mask the
-    selected patches.
+    Grad-CAM and saliency heatmaps are the smoothed maps, all smoothed in one
+    stack and binarised at ``percentile``; LIME's is its clipped patch-weight
+    map, and its mask the selected patches.
     """
-    def smoothed(amap):
-        heat = ex.gaussian_smooth(amap, cfg["explain"]["sigma"]).values
-        return heat, lm.binarize_percentile(heat, percentile)
-
     maps = {}
     spec = cfg.spec
     grad_taps = ((tuple(taps) if "grad_cam" in methods else ())
                  + ((0,) if "saliency" in methods else ()))
     if grad_taps:
         acts, grads = net.backward_to_tap(spec, params, image[None], ann.label, grad_taps)
-    if "grad_cam" in methods:
-        for tap, amap in ex.grad_cam(acts, grads, taps, image.shape[1:]).items():
-            maps["grad_cam", tap] = smoothed(amap)
-    if "saliency" in methods:
-        maps.update(dict.fromkeys((("saliency", tap) for tap in taps),
-                                  smoothed(ex.saliency(grads[0][0]))))
+        raw = []  # (the (method, tap) keys a map stands for, the map)
+        if "grad_cam" in methods:
+            raw += [([("grad_cam", tap)], amap)
+                    for tap, amap in ex.grad_cam(acts, grads, taps, image.shape[1:]).items()]
+        if "saliency" in methods:
+            raw.append(([("saliency", tap) for tap in taps], ex.saliency(grads[0][0])))
+        smoothed = ex.gaussian_smooth([amap for _, amap in raw], cfg["explain"]["sigma"])
+        for (keys, _), amap in zip(raw, smoothed):
+            heat = amap.values
+            maps.update(dict.fromkeys(keys, (heat, lm.binarize_percentile(heat, percentile))))
     if "lime" in methods:
         lcfg = cfg["explain"]["lime"]
         grid = ex.superpixel_grid(image.shape[1:], lcfg["patch_edge"])
@@ -259,13 +259,16 @@ def cmd_explain(cfg: ExperimentConfig, args) -> int:
         ann, image = item
         gt = lm.rasterize_box(ann.box, (edge, edge))
         maps = _image_maps(params, ann, image, cfg, methods, taps, percentile)
+        # one spectrum per mask: Grad-CAM's differ by tap, the others' fit every tap
+        keys = [(m, t) for m in methods for t in (taps if m == "grad_cam" else taps[:1])]
+        spectra = lm.granulometry(np.stack([maps[key][1] for key in keys]),
+                                  cfg["granulometry"]["max_size"])
+        gsums = {key: spectrum.mean_size for key, spectrum in zip(keys, spectra)}
         out = []  # (method, tap, heatmap, metrics row)
         for method in methods:
-            gsum = None
             for tap in taps:
                 heat, mask = maps[method, tap]
-                if gsum is None or method == "grad_cam":  # other masks fit every tap
-                    gsum = lm.granulometry(mask, cfg["granulometry"]["max_size"]).mean_size
+                gsum = gsums[method, tap if method == "grad_cam" else taps[0]]
                 if method == "lime":
                     ov = lm.lime_overlap(mask, ann.box)
                     row = (None, gsum, ov.count, ov.fraction)
@@ -409,8 +412,8 @@ def cmd_granulometry(cfg: ExperimentConfig, args) -> int:
         ann, image = item
         maps = _image_maps(params, ann, image, cfg, ["grad_cam"], taps, percentile)
         rows, summaries = [], []
-        for tap in taps:
-            spectrum = lm.granulometry(maps["grad_cam", tap][1], max_size)
+        spectra = lm.granulometry(np.stack([maps["grad_cam", tap][1] for tap in taps]), max_size)
+        for tap, spectrum in zip(taps, spectra):
             for size, removed in zip(spectrum.sizes, spectrum.removed):
                 rows.append((ann.image_id, scheme, tap, size, removed))
             summaries.append((tap, spectrum.mean_size))

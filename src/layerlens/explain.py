@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import numerics as nm
 from .errors import DegenerateDesign, ShapeError
@@ -87,18 +86,63 @@ def grad_cam(acts: dict, grads: dict, taps, out_shape) -> dict[int, AttributionM
             for tap in taps}
 
 
-def gaussian_smooth(amap: AttributionMap, sigma: float) -> AttributionMap:
+def _reflect_index(n: int, radius: int) -> np.ndarray:
+    """Indices of an axis of length ``n`` extended by ``radius`` on each side
+    by half-sample reflection (dcba|abcd|dcba), repeating for axes shorter
+    than the radius."""
+    m = np.arange(-radius, n + radius) % (2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
+
+
+def _correlate_down(x: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Correlate ``x`` down each column (axis -2) with the symmetric kernel
+    whose centre and right half are ``half``, borders reflected.
+
+    Each output is the centre term, then the pair sums ``(x[i-j] + x[i+j]) *
+    half[j]`` added from the outermost ``j`` in: heatmap bytes depend on
+    this order.
+    """
+    r = len(half) - 1
+    n = x.shape[-2]
+    ext = x[..., _reflect_index(n, r), :]
+    out = ext[..., r:r + n, :] * half[0]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(ext[..., r - j:r - j + n, :], ext[..., r + j:r + j + n, :], out=pair)
+        pair *= half[j]
+        out += pair
+    return out
+
+
+def _gaussian_filter(stack: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of the (..., h, w) ``stack`` down its columns, then
+    along its rows; the kernel is ``exp(-x^2 / 2 sigma^2)`` over ``|x| <=
+    int(4 sigma + 0.5)``, normalised by its sum."""
+    radius = int(4 * sigma + 0.5)
+    if radius == 0:  # the kernel is [1.0]
+        return stack.copy()
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    half = (phi / phi.sum())[radius:]
+    down = _correlate_down(stack, half)
+    return _correlate_down(down.swapaxes(-1, -2), half).swapaxes(-1, -2)
+
+
+def gaussian_smooth(amaps, sigma: float):
     """Normalized Gaussian blur with reflective borders; sigma 0 is identity.
 
-    Reflection plus a normalized symmetric kernel preserves total mass; the
-    tiny negative round-off is clipped so maps stay nonnegative.
+    ``amaps`` is one ``AttributionMap``, or a sequence of same-shape maps,
+    which are blurred as one stack and come back as a list; each map gets
+    the bytes it would get alone. Reflection plus a normalized symmetric
+    kernel preserves total mass; the tiny negative round-off is clipped so
+    maps stay nonnegative.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return AttributionMap(amap.values.copy())
-    out = ndimage.gaussian_filter(amap.values, sigma=sigma, mode="reflect")
-    return AttributionMap(np.maximum(out, 0.0))
+    single = isinstance(amaps, AttributionMap)
+    stack = np.stack([amaps.values] if single else [m.values for m in amaps])
+    out = [AttributionMap(v) for v in np.maximum(_gaussian_filter(stack, sigma), 0.0, order="C")]
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

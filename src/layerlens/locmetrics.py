@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from . import numerics as nm
 from .errors import ShapeError
@@ -132,34 +131,69 @@ class GranulometrySpectrum:
     mean_size: float
 
 
-def _opening(mask: np.ndarray, size: int) -> np.ndarray:
-    """Binary opening by the (2*size+1)-edge square, background outside.
+def _box_table(values: np.ndarray, lead: int, h: int, w: int) -> np.ndarray:
+    """Summed-area table of the (..., vh, vw) ``values`` laid ``lead`` rows
+    and columns in from the top-left of a zero (..., h + lead, w + lead)
+    array: entry (y, x) sums ``values`` over rows <= y - lead and columns
+    <= x - lead."""
+    table = np.zeros((*values.shape[:-2], h + lead, w + lead), np.int32)
+    table[..., lead:lead + values.shape[-2], lead:lead + values.shape[-1]] = values
+    np.cumsum(table, axis=-2, out=table)
+    np.cumsum(table, axis=-1, out=table)
+    return table
 
-    A square is separable, so erosion and dilation are running min and max
-    filters; this equals ``ndimage.binary_opening`` with the dense square.
+
+def _box_sums(table: np.ndarray, edge: int) -> np.ndarray:
+    """Sums over every edge x edge window of a summed-area table."""
+    return (table[..., edge:, edge:] - table[..., :-edge, edge:]
+            - table[..., edge:, :-edge] + table[..., :-edge, :-edge])
+
+
+def _opening(masks: np.ndarray, size: int, table: np.ndarray | None = None) -> np.ndarray:
+    """Binary opening of (..., h, w) masks by the (2*size+1)-edge square,
+    background outside.
+
+    The opening is the union of the squares that fit inside the mask. The
+    windows of the mask's summed-area table ``table`` (``_box_table(masks,
+    1, h, w)``, shared by the openings of every size) that sum to a full
+    square are those squares, by top-left corner; a pixel survives where a
+    second table, of those corners, counts one within a square's reach.
+    Exact on booleans, masks smaller than the square included.
     """
     edge = 2 * size + 1
-    eroded = ndimage.minimum_filter(mask, size=edge, mode="constant", cval=0)
-    return ndimage.maximum_filter(eroded, size=edge, mode="constant", cval=0)
+    h, w = masks.shape[-2:]
+    if table is None:
+        table = _box_table(masks, 1, h, w)
+    fits = _box_sums(table, edge) == edge * edge
+    return _box_sums(_box_table(fits, edge, h, w), edge) > 0
 
 
-def granulometry(mask, max_size: int) -> GranulometrySpectrum:
-    mask = _as_mask(mask)
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
-    total = int(mask.sum())
+def _spectrum(total: int, areas, max_size: int) -> GranulometrySpectrum:
+    """Spectrum of a mask of area ``total`` from its openings' areas by size."""
     sizes = tuple(range(1, max_size + 1))
     if total == 0:
         return GranulometrySpectrum(sizes, (0.0,) * max_size, 0, 0.0)
-    removed = []
-    prev_area = total
-    for s in sizes:
-        area = int(_opening(mask, s).sum())
-        removed.append(float(prev_area - area))
-        prev_area = area
-        if area == 0:  # openings by nested squares are nested: all larger ones are empty
-            break
-    removed += [0.0] * (max_size - len(removed))
-    removed[-1] += prev_area  # remainder goes to the final bucket
+    removed = [float(prev - area) for prev, area in zip((total, *areas), areas)]
+    removed[-1] += areas[-1]  # remainder goes to the final bucket
     weighted = sum(s * r for s, r in zip(sizes, removed))
     return GranulometrySpectrum(sizes, tuple(removed), total, weighted / total)
+
+
+def granulometry(masks, max_size: int):
+    """Pattern spectrum of one (h, w) mask, or a list of them for an
+    (n, h, w) stack, whose masks share every array pass of their openings."""
+    masks = np.asarray(masks)
+    if masks.ndim not in (2, 3):
+        raise ShapeError(f"mask must be 2-D or a 3-D stack, got shape {masks.shape}")
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    stack = masks.reshape(-1, *masks.shape[-2:]).astype(bool)
+    areas = np.zeros((len(stack), max_size), np.int64)
+    table = _box_table(stack, 1, *masks.shape[-2:])
+    for s in range(1, max_size + 1):
+        areas[:, s - 1] = _opening(stack, s, table).sum(axis=(1, 2))
+        if not areas[:, s - 1].any():  # openings by nested squares are nested: all larger ones are empty
+            break
+    spectra = [_spectrum(int(total), [int(a) for a in row], max_size)
+               for total, row in zip(table[:, -1, -1], areas)]
+    return spectra[0] if masks.ndim == 2 else spectra

@@ -88,6 +88,24 @@ def test_module_entry_point_runs_main(tmp_path):
     assert "config error" in proc.stderr
 
 
+def test_cli_loads_no_scipy(tmp_path):
+    """The runtime is numpy-only: a fresh interpreter that imports the CLI and
+    generates a dataset holds no scipy module. It runs in a subprocess
+    because the test process may have imported scipy already."""
+    src = str(Path(layerlens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfg_path = make_config(tmp_path)
+    code = ("import sys\n"
+            "from layerlens.cli import main\n"
+            f"assert main(['--config', {str(cfg_path)!r}, 'generate']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_config_rejects_nested_unknown_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dataset": {"n_image": 5}}))
@@ -716,7 +734,7 @@ def test_explain_lime_forwards_in_batches(pipeline, tmp_path, monkeypatch):
 
 def test_explain_one_spectrum_per_mask(pipeline, tmp_path, monkeypatch):
     """Saliency and LIME give one mask for every tap, so one spectrum each;
-    Grad-CAM gives one per tap."""
+    Grad-CAM gives one per tap. An image's masks go in one stacked call."""
     cfg_path, out = pipeline
     weights = tmp_path / "weights_gran.llw"
     weights.write_bytes((out / "weights_e2e.llw").read_bytes())
@@ -730,7 +748,8 @@ def test_explain_one_spectrum_per_mask(pipeline, tmp_path, monkeypatch):
     assert main(["--config", str(cfg_path), "explain", "--weights", str(weights),
                  "--methods", "grad_cam,saliency,lime", "--taps", "1,2,3,4,5,6"]) == 0
     n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
-    assert len(calls) == n_test * (6 + 1 + 1)
+    assert len(calls) == n_test
+    assert all(np.shape(stack)[0] == 6 + 1 + 1 for stack in calls)
     _, _, rows = read_csv(out / "explain_weights_gran" / "metrics.csv")
     assert len(rows) == n_test * 6 * 3
 

@@ -258,6 +258,78 @@ def test_smooth_mass_and_sign_properties(sigma, seed):
     assert out.values.min() >= 0
 
 
+def loop_gaussian(values, sigma):
+    """Reference blur as a scalar loop: the kernel of ``exp(-x^2 / 2 sigma^2)``
+    over ``|x| <= int(4 sigma + 0.5)`` normalised by its numpy sum, borders
+    reflected about the half sample, down each column first, then along each
+    row. Each output is the centre term, then the pair sums added from the
+    outermost in: the symmetric correlate loop of ``scipy.ndimage``."""
+    radius = int(4 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = (phi / phi.sum()).tolist()
+
+    def at(line, i):
+        n = len(line)
+        i %= 2 * n
+        return line[i if i < n else 2 * n - 1 - i]
+
+    def correlate(line):
+        out = []
+        for i in range(len(line)):
+            acc = line[i] * w[radius]
+            for j in range(radius, 0, -1):
+                acc += (at(line, i - j) + at(line, i + j)) * w[radius + j]
+            out.append(acc)
+        return out
+
+    rows = np.array([correlate(col) for col in np.asarray(values).T.tolist()]).T
+    return np.array([correlate(row) for row in rows.tolist()]).reshape(np.shape(values))
+
+
+def _smooth_bytes_agree(values, sigma):
+    from scipy import ndimage
+
+    got = ex.gaussian_smooth(ex.AttributionMap(values), sigma).values
+    assert got.tobytes() == np.maximum(
+        ndimage.gaussian_filter(values, sigma, mode="reflect"), 0.0).tobytes()
+    assert got.tobytes() == np.maximum(loop_gaussian(values, sigma), 0.0).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_smooth_bytes_match_references(sigma):
+    """Every edge from 1 to 40, edges shorter than the kernel radius
+    included, gives the bytes of ``scipy.ndimage.gaussian_filter`` in reflect
+    mode and of the loop reference."""
+    rng = make_rng(int(10 * sigma))
+    for h in range(1, 41):
+        _smooth_bytes_agree(rng.uniform(0, 1, (h, int(rng.integers(1, 41)))), sigma)
+
+
+@given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 40), w=st.integers(1, 40),
+       sigma=st.floats(0.05, 4.0))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_smooth_bytes_match_references_random_sigma(seed, h, w, sigma):
+    _smooth_bytes_agree(make_rng(seed).uniform(0, 1, (h, w)), sigma)
+
+
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 8), h=st.integers(1, 40),
+       w=st.integers(1, 40), sigma=st.sampled_from([0.3, 1.0, 2.0, 3.0]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_smooth_stack_bytes_match_each_map(seed, n, h, w, sigma):
+    """A stack of maps is smoothed as each map alone, and as the reference
+    filter run over the stack's two map axes."""
+    from scipy import ndimage
+
+    stack = make_rng(seed).uniform(0, 1, (n, h, w))
+    got = np.stack([m.values for m in ex.gaussian_smooth(
+        [ex.AttributionMap(v) for v in stack], sigma)])
+    assert got.tobytes() == np.stack(
+        [ex.gaussian_smooth(ex.AttributionMap(v), sigma).values for v in stack]).tobytes()
+    assert got.tobytes() == np.maximum(
+        ndimage.gaussian_filter(stack, (0, sigma, sigma), mode="reflect"), 0.0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # superpixels
 

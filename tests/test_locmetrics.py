@@ -319,11 +319,12 @@ def test_granulometry_opening_is_anti_extensive():
         assert not np.any(opened & ~mask)
 
 
-@given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 24), w=st.integers(1, 24),
-       density=st.floats(0.0, 1.0), size=st.integers(1, 6))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 40), w=st.integers(1, 40),
+       density=st.floats(0.0, 1.0), size=st.integers(1, 8))
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_opening_matches_binary_opening(seed, h, w, density, size):
-    """Separable min/max opening equals scipy's opening by the dense square,
+    """The summed-area-table opening equals scipy's opening by the dense
+    square, at every size up to the benchmark's granulometry.max_size (8),
     masks smaller than the structuring element included."""
     from scipy import ndimage
 
@@ -334,6 +335,43 @@ def test_opening_matches_binary_opening(seed, h, w, density, size):
     got = lm._opening(mask, size)
     assert got.dtype == bool
     assert np.array_equal(got, expect)
+
+
+def _squares_emptying_by_size():
+    """Masks whose openings empty at sizes 1, 2, ..., 9 (a solid square of
+    edge 2s-1 survives exactly sizes below s), and one that survives them all."""
+    masks = np.zeros((10, 20, 20), dtype=bool)
+    for s in range(1, 10):
+        masks[s - 1, 1:2 * s, 2:2 * s + 1] = True
+    masks[9] = True
+    return masks
+
+
+@pytest.mark.parametrize("max_size", [1, 4, 8])
+def test_stacked_spectra_equal_per_mask_spectra_as_squares_empty(max_size):
+    masks = _squares_emptying_by_size()
+    stacked = lm.granulometry(masks, max_size)
+    assert stacked == [lm.granulometry(m, max_size) for m in masks]
+    assert stacked == [spectrum_without_early_stop(m, max_size) for m in masks]
+
+
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 8), h=st.integers(1, 40),
+       w=st.integers(1, 40), max_size=st.integers(1, 8))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_stacked_spectra_equal_per_mask_spectra(seed, n, h, w, max_size):
+    """Each mask of a stack has its own density, so its openings empty at
+    its own size; the stack's spectra are the masks' spectra one by one."""
+    rng = make_rng(seed)
+    masks = rng.random((n, h, w)) < rng.uniform(0.0, 1.0, (n, 1, 1))
+    stacked = lm.granulometry(masks, max_size)
+    assert stacked == [spectrum_without_early_stop(m, max_size) for m in masks]
+
+
+def test_granulometry_rejects_other_ranks():
+    with pytest.raises(ShapeError):
+        lm.granulometry(np.zeros(5, dtype=bool), 3)
+    with pytest.raises(ShapeError):
+        lm.granulometry(np.zeros((2, 2, 5, 5), dtype=bool), 3)
 
 
 def test_dilating_inside_box_never_lowers_iou():
