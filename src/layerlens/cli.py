@@ -195,49 +195,76 @@ def _save_heatmap(values: np.ndarray, path: Path) -> None:
 # that copy, only the activations each thread holds
 LIME_BATCH = 8
 
+# Test images whose Grad-CAM and saliency maps come from one gradient pass:
+# the presets' SGD batch, so a chunk holds about one training step's
+# activations, however many test images there are
+MAP_CHUNK = 32
 
-def _image_maps(params, ann, image, cfg, methods, taps, percentile):
-    """``{(method, tap): (heatmap, binary mask)}`` for one image; pure, thread-safe.
 
-    Each method runs once: Grad-CAM at every tap and saliency share one forward
-    and one backward pass, and saliency and LIME give one map for all taps.
-    Grad-CAM and saliency heatmaps are the smoothed maps, all smoothed in one
-    stack and binarised at ``percentile``; LIME's is its clipped patch-weight
-    map, and its mask the selected patches.
+def _chunks(anns, x):
+    """(annotations, images) of consecutive runs of at most MAP_CHUNK test images."""
+    return [(anns[lo:lo + MAP_CHUNK], x[lo:lo + MAP_CHUNK])
+            for lo in range(0, len(x), MAP_CHUNK)]
+
+
+def _lime_map(params, ann, image, cfg):
+    """LIME's (heatmap, mask) for one image: the clipped patch-weight map and
+    the selected patches; pure, thread-safe."""
+    spec = cfg.spec
+    lcfg = cfg["explain"]["lime"]
+    grid = ex.superpixel_grid(image.shape[1:], lcfg["patch_edge"])
+
+    def black_box(stack):
+        (scores,) = tr.map_batches(
+            lambda xb: (nm.softmax(net.forward_with_taps(spec, params, xb)[0])[:, ann.label],),
+            LIME_BATCH, stack)
+        return scores
+
+    rng = make_rng(derive_seed(cfg.seed, f"lime:{ann.image_id}"))
+    expl = ex.lime_explain(
+        black_box, image, grid, lcfg["n_samples"], lcfg["ridge_lambda"],
+        lcfg["keep_prob"], min(lcfg["top_k"], grid.patch_count), rng)
+    _, mask = ex.lime_mask(image, expl, grid)
+    return np.maximum(expl.patch_weights[grid.labels], 0.0), mask
+
+
+def _image_maps(params, anns, images, cfg, methods, taps, percentile):
+    """``{(method, tap): (heatmaps, binary masks)}``, each an (n, h, w) stack,
+    for a chunk of at most MAP_CHUNK images; pure.
+
+    Each method runs once: Grad-CAM at every tap and saliency share one
+    forward and one backward pass over the chunk, each image's gradient that
+    of its own label's score, and saliency and LIME give one map for all
+    taps. Grad-CAM and saliency heatmaps are the smoothed maps, all smoothed
+    in one stack and binarised at ``percentile``; LIME's is its clipped
+    patch-weight map, and its mask the selected patches. LIME explains one
+    image per task, on up to ``jobs`` threads: the one per-image work that
+    gains from them.
     """
     maps = {}
-    spec = cfg.spec
     grad_taps = ((tuple(taps) if "grad_cam" in methods else ())
                  + ((0,) if "saliency" in methods else ()))
     if grad_taps:
-        acts, grads = net.backward_to_tap(spec, params, image[None], ann.label, grad_taps)
-        raw = []  # (the (method, tap) keys a map stands for, the map)
+        labels = np.array([ann.label for ann in anns])
+        acts, grads = net.backward_to_tap(cfg.spec, params, images, labels, grad_taps)
+        keys, raw = [], []  # the (method, tap) keys of each map stack, the stacks
         if "grad_cam" in methods:
-            raw += [([("grad_cam", tap)], amap)
-                    for tap, amap in ex.grad_cam(acts, grads, taps, image.shape[1:]).items()]
+            for tap in taps:
+                keys.append([("grad_cam", tap)])
+                raw.append(ex.grad_cam(acts[tap], grads[tap], images.shape[2:]).values)
         if "saliency" in methods:
-            raw.append(([("saliency", tap) for tap in taps], ex.saliency(grads[0][0])))
-        smoothed = ex.gaussian_smooth([amap for _, amap in raw], cfg["explain"]["sigma"])
-        for (keys, _), amap in zip(raw, smoothed):
-            heat = amap.values
-            maps.update(dict.fromkeys(keys, (heat, lm.binarize_percentile(heat, percentile))))
+            keys.append([("saliency", tap) for tap in taps])
+            raw.append(ex.saliency(grads[0]).values)
+        smoothed = ex.gaussian_smooth(ex.AttributionMap(np.stack(raw)),
+                                      cfg["explain"]["sigma"]).values
+        masks = lm.binarize_percentile(smoothed, percentile)
+        for key_list, heat, mask in zip(keys, smoothed, masks):
+            maps.update(dict.fromkeys(key_list, (heat, mask)))
     if "lime" in methods:
-        lcfg = cfg["explain"]["lime"]
-        grid = ex.superpixel_grid(image.shape[1:], lcfg["patch_edge"])
-
-        def black_box(stack):
-            (scores,) = tr.map_batches(
-                lambda xb: (nm.softmax(net.forward_with_taps(spec, params, xb)[0])[:, ann.label],),
-                LIME_BATCH, stack)
-            return scores
-
-        rng = make_rng(derive_seed(cfg.seed, f"lime:{ann.image_id}"))
-        expl = ex.lime_explain(
-            black_box, image, grid, lcfg["n_samples"], lcfg["ridge_lambda"],
-            lcfg["keep_prob"], min(lcfg["top_k"], grid.patch_count), rng)
-        _, mask = ex.lime_mask(image, expl, grid)
-        heat = np.maximum(expl.patch_weights[grid.labels], 0.0)
-        maps.update(dict.fromkeys((("lime", tap) for tap in taps), (heat, mask)))
+        lime = _pool_map(lambda item: _lime_map(params, *item, cfg),
+                         list(zip(anns, images)), cfg["jobs"])
+        maps.update(dict.fromkeys((("lime", tap) for tap in taps),
+                                  tuple(np.stack(a) for a in zip(*lime))))
     return maps
 
 
@@ -255,35 +282,28 @@ def cmd_explain(cfg: ExperimentConfig, args) -> int:
     heat_root = out_root / "heatmaps"
     heat_root.mkdir(parents=True, exist_ok=True)
 
-    def one(item):
-        ann, image = item
-        gt = lm.rasterize_box(ann.box, (edge, edge))
-        maps = _image_maps(params, ann, image, cfg, methods, taps, percentile)
-        # one spectrum per mask: Grad-CAM's differ by tap, the others' fit every tap
-        keys = [(m, t) for m in methods for t in (taps if m == "grad_cam" else taps[:1])]
-        spectra = lm.granulometry(np.stack([maps[key][1] for key in keys]),
-                                  cfg["granulometry"]["max_size"])
-        gsums = {key: spectrum.mean_size for key, spectrum in zip(keys, spectra)}
-        out = []  # (method, tap, heatmap, metrics row)
-        for method in methods:
-            for tap in taps:
-                heat, mask = maps[method, tap]
-                gsum = gsums[method, tap if method == "grad_cam" else taps[0]]
-                if method == "lime":
-                    ov = lm.lime_overlap(mask, ann.box)
-                    row = (None, gsum, ov.count, ov.fraction)
-                else:
-                    row = (percentile, gsum, None, None)
-                out.append((method, tap, heat,
-                            (ann.image_id, method, tap, lm.iou(mask, gt), *row)))
-        return out
-
-    results = _pool_map(one, list(zip(anns, x)), cfg["jobs"])
+    # one spectrum per mask: Grad-CAM's differ by tap, the others' fit every tap
+    keys = [(m, t) for m in methods for t in (taps if m == "grad_cam" else taps[:1])]
     rows = []
-    for per_image in results:
-        for method, tap, heat, row in per_image:
-            _save_heatmap(heat, heat_root / f"{row[0]}_{method}_tap{tap}.pgm")
-            rows.append(row)
+    for chunk_anns, chunk_x in _chunks(anns, x):
+        maps = _image_maps(params, chunk_anns, chunk_x, cfg, methods, taps, percentile)
+        masks = np.stack([maps[key][1] for key in keys], axis=1)  # (n, keys, h, w)
+        spectra = iter(lm.granulometry(masks.reshape(-1, *masks.shape[2:]),
+                                       cfg["granulometry"]["max_size"]))
+        for i, ann in enumerate(chunk_anns):
+            gt = lm.rasterize_box(ann.box, (edge, edge))
+            gsums = {key: next(spectra).mean_size for key in keys}
+            for method in methods:
+                for tap in taps:
+                    heat, mask = (stack[i] for stack in maps[method, tap])
+                    gsum = gsums[method, tap if method == "grad_cam" else taps[0]]
+                    if method == "lime":
+                        ov = lm.lime_overlap(mask, ann.box)
+                        row = (None, gsum, ov.count, ov.fraction)
+                    else:
+                        row = (percentile, gsum, None, None)
+                    _save_heatmap(heat, heat_root / f"{ann.image_id}_{method}_tap{tap}.pgm")
+                    rows.append((ann.image_id, method, tap, lm.iou(mask, gt), *row))
     write_csv(out_root / "metrics.csv", "explain", rows, cfg,
               {"lime_seed_base": derive_seed(cfg.seed, "lime:000000")})
     print(f"explained {len(anns)} images x {len(taps)} taps x {len(methods)} methods "
@@ -300,16 +320,14 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     percentile = cfg["explain"]["percentile"]
     edge = cfg["dataset"]["image_edge"]
 
-    def one(item):
-        ann, image = item
-        gt = lm.rasterize_box(ann.box, (edge, edge))
-        cl, e2e = (_image_maps(params, ann, image, cfg, methods, taps, percentile)
+    pair_rows = []
+    for chunk_anns, chunk_x in _chunks(anns, x):
+        cl, e2e = (_image_maps(params, chunk_anns, chunk_x, cfg, methods, taps, percentile)
                    for params in (params_cl, params_e2e))
-        return [(ann.image_id, m, t, lm.iou(cl[m, t][1], gt), lm.iou(e2e[m, t][1], gt))
-                for m in methods for t in taps]
-
-    results = _pool_map(one, list(zip(anns, x)), cfg["jobs"])
-    pair_rows = [r for rows in results for r in rows]
+        for i, ann in enumerate(chunk_anns):
+            gt = lm.rasterize_box(ann.box, (edge, edge))
+            pair_rows += [(ann.image_id, m, t, lm.iou(cl[m, t][1][i], gt),
+                           lm.iou(e2e[m, t][1][i], gt)) for m in methods for t in taps]
     write_csv(cfg.out_dir / "compare_pairs.csv", "compare_pairs", pair_rows, cfg, {})
 
     summary_rows = []
@@ -408,26 +426,22 @@ def cmd_granulometry(cfg: ExperimentConfig, args) -> int:
     max_size = cfg["granulometry"]["max_size"]
     scheme = params.provenance.scheme
 
-    def one(item):
-        ann, image = item
-        maps = _image_maps(params, ann, image, cfg, ["grad_cam"], taps, percentile)
-        rows, summaries = [], []
-        spectra = lm.granulometry(np.stack([maps["grad_cam", tap][1] for tap in taps]), max_size)
-        for tap, spectrum in zip(taps, spectra):
-            for size, removed in zip(spectrum.sizes, spectrum.removed):
-                rows.append((ann.image_id, scheme, tap, size, removed))
-            summaries.append((tap, spectrum.mean_size))
-        return rows, summaries
-
-    results = _pool_map(one, list(zip(anns, x)), cfg["jobs"])
-    all_rows = [r for rows, _ in results for r in rows]
+    rows, means = [], {tap: [] for tap in taps}  # means: each image's mean size, by tap
+    for chunk_anns, chunk_x in _chunks(anns, x):
+        maps = _image_maps(params, chunk_anns, chunk_x, cfg, ["grad_cam"], taps, percentile)
+        masks = np.stack([maps["grad_cam", tap][1] for tap in taps], axis=1)  # (n, taps, h, w)
+        spectra = iter(lm.granulometry(masks.reshape(-1, *masks.shape[2:]), max_size))
+        for ann in chunk_anns:
+            for tap in taps:
+                spectrum = next(spectra)
+                for size, removed in zip(spectrum.sizes, spectrum.removed):
+                    rows.append((ann.image_id, scheme, tap, size, removed))
+                means[tap].append(spectrum.mean_size)
     stem = Path(args.weights).stem
-    write_csv(cfg.out_dir / f"granulometry_{stem}.csv", "granulometry", all_rows, cfg, {})
+    write_csv(cfg.out_dir / f"granulometry_{stem}.csv", "granulometry", rows, cfg, {})
 
-    summary_rows = []
-    for tap in taps:
-        vals = [s for _, summaries in results for t, s in summaries if t == tap]
-        summary_rows.append((scheme, tap, float(np.mean(vals)) if vals else 0.0, len(vals)))
+    summary_rows = [(scheme, tap, float(np.mean(vals)) if vals else 0.0, len(vals))
+                    for tap, vals in means.items()]
     write_csv(cfg.out_dir / f"granulometry_{stem}_summary.csv",
               "granulometry_summary", summary_rows, cfg, {})
     for scheme_name, tap, mean_size, n in summary_rows:
@@ -450,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="override output directory")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for per-image work")
+                        help="threads for LIME explanations, one image each")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("generate", help="write the synthetic dataset")

@@ -3,10 +3,13 @@ and LIME over a square superpixel grid, plus Gaussian post-smoothing.
 
 Saliency and Grad-CAM turn the arrays of one ``network.backward_to_tap``
 pass into maps; they run no network themselves, so one pass to taps
-``(*taps, 0)`` serves both. LIME scores its perturbations through a black
-box the caller supplies. All explainers are pure, so per-image calls can run
-concurrently. Maps are nonnegative h x w arrays aligned to input pixels;
-coarser taps are bilinearly upsampled.
+``(*taps, 0)`` serves both, for a whole batch of images. Their maps, the
+smoothing and the resize work on stacks: any leading axes are images (or
+maps), and each map gets the bytes it would get alone. LIME scores its
+perturbations through a black box the caller supplies. All explainers are
+pure, so per-image calls can run concurrently. Maps are nonnegative
+(..., h, w) arrays aligned to input pixels; coarser taps are bilinearly
+upsampled.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from .errors import DegenerateDesign, ShapeError
 
 @dataclass
 class AttributionMap:
-    """Nonnegative heatmap over input pixels."""
+    """Nonnegative heatmap over input pixels, or a stack of them."""
 
-    values: np.ndarray  # (h, w), float64, >= 0
+    values: np.ndarray  # (..., h, w), float64, >= 0
 
     def __post_init__(self):
         v = nm.as_f64(self.values)
-        if v.ndim != 2:
-            raise ShapeError(f"attribution map must be 2-D, got shape {v.shape}")
+        if v.ndim < 2:
+            raise ShapeError(f"attribution map must be at least 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ShapeError("attribution map contains non-finite values")
         if v.min() < 0:
@@ -37,53 +40,57 @@ class AttributionMap:
 
 
 def bilinear_resize(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with half-pixel-centre sampling; preserves constants."""
+    """Bilinear resize of the last two axes with half-pixel-centre sampling;
+    preserves constants."""
     v = nm.as_f64(values)
-    h, w = v.shape
+    h, w = v.shape[-2:]
     if (h, w) == (out_h, out_w):
         return v.copy()
     ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
     xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(int)
+    y0 = np.floor(ys).astype(int)[:, None]
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
+    wy = ys[:, None] - y0
     wx = (xs - x0)[None, :]
-    return ((1 - wy) * (1 - wx) * v[np.ix_(y0, x0)]
-            + (1 - wy) * wx * v[np.ix_(y0, x1)]
-            + wy * (1 - wx) * v[np.ix_(y1, x0)]
-            + wy * wx * v[np.ix_(y1, x1)])
+    return ((1 - wy) * (1 - wx) * v[..., y0, x0]
+            + (1 - wy) * wx * v[..., y0, x1]
+            + wy * (1 - wx) * v[..., y1, x0]
+            + wy * wx * v[..., y1, x1])
 
 
 def saliency(grad) -> AttributionMap:
     """Absolute input gradient of the class score, channel-reduced by max;
-    ``grad`` is one image's (c, h, w) gradient at tap 0."""
-    return AttributionMap(np.abs(grad).max(axis=0))
+    ``grad`` is the (..., c, h, w) gradient at tap 0, of one image or a
+    stack of them."""
+    return AttributionMap(np.abs(grad).max(axis=-3))
 
 
 def cam_values(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     """Channel-importance weighted activation map, rectified.
 
-    Each channel's weight is the spatial mean of the class-score gradient
-    over that channel's activation map; negative totals are clipped since
-    channels that lower the score are not of interest.
+    ``activations`` and ``gradients`` are (..., k, h, w): one image's
+    channels, or a stack of images'. Each channel's weight is the spatial
+    mean of the class-score gradient over that channel's activation map;
+    negative totals are clipped since channels that lower the score are not
+    of interest.
     """
     a = nm.as_f64(activations)
     g = nm.as_f64(gradients)
-    if a.shape != g.shape or a.ndim != 3:
-        raise ShapeError(f"activations {a.shape} and gradients {g.shape} must both be (k, h, w)")
-    alphas = g.mean(axis=(1, 2))
-    return np.maximum((alphas[:, None, None] * a).sum(axis=0), 0.0)
+    if a.shape != g.shape or a.ndim < 3:
+        raise ShapeError(
+            f"activations {a.shape} and gradients {g.shape} must both be (..., k, h, w)")
+    alphas = g.mean(axis=(-2, -1))
+    return np.maximum((alphas[..., None, None] * a).sum(axis=-3), 0.0)
 
 
-def grad_cam(acts: dict, grads: dict, taps, out_shape) -> dict[int, AttributionMap]:
-    """Gradient-weighted class activation maps at each of ``taps``, upsampled
-    to ``out_shape``: ``{tap: AttributionMap}`` from the ``(acts, grads)`` of a
-    ``backward_to_tap`` call, whose first image they explain."""
+def grad_cam(activations, gradients, out_shape) -> AttributionMap:
+    """Gradient-weighted class activation maps of one tap, upsampled to
+    ``out_shape``: the tap's (n, k, h, w) activations and gradients from a
+    ``backward_to_tap`` call give (n, *out_shape) maps, one per image."""
     h, w = out_shape
-    return {tap: AttributionMap(bilinear_resize(cam_values(acts[tap][0], grads[tap][0]), h, w))
-            for tap in taps}
+    return AttributionMap(bilinear_resize(cam_values(activations, gradients), h, w))
 
 
 def _reflect_index(n: int, radius: int) -> np.ndarray:
@@ -128,21 +135,18 @@ def _gaussian_filter(stack: np.ndarray, sigma: float) -> np.ndarray:
     return _correlate_down(down.swapaxes(-1, -2), half).swapaxes(-1, -2)
 
 
-def gaussian_smooth(amaps, sigma: float):
-    """Normalized Gaussian blur with reflective borders; sigma 0 is identity.
+def gaussian_smooth(amap: AttributionMap, sigma: float) -> AttributionMap:
+    """Normalized Gaussian blur of each map of ``amap`` with reflective
+    borders; sigma 0 is identity.
 
-    ``amaps`` is one ``AttributionMap``, or a sequence of same-shape maps,
-    which are blurred as one stack and come back as a list; each map gets
-    the bytes it would get alone. Reflection plus a normalized symmetric
-    kernel preserves total mass; the tiny negative round-off is clipped so
-    maps stay nonnegative.
+    A stack of maps is blurred in one pass, each map getting the bytes it
+    would get alone. Reflection plus a normalized symmetric kernel preserves
+    total mass; the tiny negative round-off is clipped so maps stay
+    nonnegative.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    single = isinstance(amaps, AttributionMap)
-    stack = np.stack([amaps.values] if single else [m.values for m in amaps])
-    out = [AttributionMap(v) for v in np.maximum(_gaussian_filter(stack, sigma), 0.0, order="C")]
-    return out[0] if single else out
+    return AttributionMap(np.maximum(_gaussian_filter(amap.values, sigma), 0.0, order="C"))
 
 
 # ---------------------------------------------------------------------------

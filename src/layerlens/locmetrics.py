@@ -51,22 +51,24 @@ def _as_mask(m, name: str = "mask") -> np.ndarray:
 
 
 def binarize_percentile(amap, percentile: float) -> np.ndarray:
-    """Top-value mask with an exact pixel budget.
+    """Top-value mask with an exact pixel budget, of each (h, w) map of a
+    (..., h, w) stack.
 
     The true count is exactly ceil((1 - p/100) * h * w) for every input:
     pixels are ranked by value, ties broken by row-major position, so even a
-    constant map yields the same coverage as any other.
+    constant map yields the same coverage as any other. A stack's maps are
+    ranked by one stable sort along their flattened last two axes.
     """
     values = nm.as_f64(getattr(amap, "values", amap))
-    if values.ndim != 2:
-        raise ShapeError(f"attribution map must be 2-D, got shape {values.shape}")
+    if values.ndim < 2:
+        raise ShapeError(f"attribution map must be at least 2-D, got shape {values.shape}")
     if not 0 < percentile < 100:
         raise ValueError(f"percentile must be in (0, 100), got {percentile}")
-    n = values.size
-    budget = math.ceil((1 - Fraction(percentile) / 100) * n)
-    order = np.argsort(-values.ravel(), kind="stable")
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:budget]] = True
+    flat = values.reshape(*values.shape[:-2], -1)
+    budget = math.ceil((1 - Fraction(percentile) / 100) * flat.shape[-1])
+    order = np.argsort(-flat, axis=-1, kind="stable")
+    mask = np.zeros(flat.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :budget], True, axis=-1)
     return mask.reshape(values.shape)
 
 

@@ -310,8 +310,8 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
 
     A row's class scores do not depend on the rest of its batch:
     ``numerics.conv2d`` multiplies each image's patches on their own,
-    whatever its slab, and the layers after the last tap run one row at a
-    time.
+    whatever its slab, and each ``Dense`` after the last tap is a stack of
+    one-row products.
     """
     x = _check_batch(spec, batch, start)
     full = depth is None
@@ -326,31 +326,40 @@ def forward_with_taps(spec: NetworkSpec, params: ModelParams, batch, depth: int 
         lo = hi
     if not full:
         return None, taps
-    # an n-row matmul rounds differently from a one-row one; the pool and
-    # flatten before it give the same bits per row as per batch
-    last = len(spec.layers) - 1
-    scores = np.concatenate([run_span(spec, params, x[r:r + 1], top, last)
-                             for r in range(len(x))])
-    return scores, taps
+    # an n-row matmul rounds differently from a one-row one, so the dense
+    # layers multiply (n, 1, d) by (d, k): n one-row products in one call;
+    # the pool and flatten before them give the same bits per row as per batch
+    for i in range(top, len(spec.layers)):
+        layer, block = spec.layers[i], params.blocks[i]
+        if isinstance(layer, Dense):
+            x = np.matmul(x[:, None, :], block[0].T)[:, 0] + block[1]
+        else:
+            x = _layer_forward(layer, block, x)
+    return x, taps
 
 
-def backward_to_tap(spec: NetworkSpec, params: ModelParams, batch, class_index: int, taps):
+def backward_to_tap(spec: NetworkSpec, params: ModelParams, batch, class_index, taps):
     """Activations at, and gradients of the selected class score w.r.t., each
     tap in ``taps``: ``(acts, grads)``, two dicts keyed by tap.
 
     One forward pass, then one backward pass that records each requested tap
     on its way down and stops at the lowest; tap 0 is the input batch and its
-    gradient the input gradient. The score is summed over the batch; since
-    samples are independent the rows are per-sample gradients.
+    gradient the input gradient. ``class_index`` is one class for every row,
+    or an (n,) array with each row's class. The rows' scores are summed;
+    since samples are independent the rows are per-sample gradients.
     """
     x = _check_batch(spec, batch)
     tap_below = {spec.after_tap(t): t for t in taps}
-    if not 0 <= class_index < spec.class_count:
-        raise SpecError(f"class index {class_index} out of range 0..{spec.class_count}")
+    labels = np.asarray(class_index)
+    if labels.shape not in ((), (len(x),)):
+        raise ShapeError(f"class index shape {labels.shape} does not match a batch of {len(x)}")
+    bad = labels[(labels < 0) | (labels >= spec.class_count)]
+    if bad.size:
+        raise SpecError(f"class index {bad.flat[0]} out of range 0..{spec.class_count}")
     last = len(spec.layers) - 1
     scores, caches = run_span(spec, params, x, 0, last, want_caches=True)
     g = np.zeros_like(scores)
-    g[:, class_index] = 1.0
+    g[np.arange(len(g)), labels] = 1.0
     acts, grads = {}, {}
     for i in range(last, min(tap_below, default=last + 1) - 1, -1):
         g, _ = _layer_backward(spec.layers[i], params.blocks[i], caches[i], g,

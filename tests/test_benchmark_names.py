@@ -2,8 +2,9 @@
 
 ``perfbench`` wraps every public function of the layer modules and names a
 span ``<module>.<function>``; each workload lists the metrics it expects in
-``exercised``. A renamed or privatised function would otherwise show only
-as a MISSING line at the end of a traced benchmark run.
+``exercised``. It also wraps the CLI's thread fan-out, which it names in
+``tracer.POOL_FN``. A renamed or privatised function would otherwise show
+only as a MISSING line at the end of a traced benchmark run.
 """
 
 import importlib
@@ -15,15 +16,20 @@ from pathlib import Path
 
 import layerlens
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _exercised_names(monkeypatch) -> set[str]:
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while the module runs
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = _load(monkeypatch, "workloads")
     return {name for w in workloads.WORKLOADS.values() for name in w.exercised}
 
 
@@ -41,3 +47,10 @@ def test_traced_function_names_exist(monkeypatch):
         assert fn.__module__ == module.__name__, name  # spans take the defining module's name
         checked.append(name)
     assert any(n.startswith("network.forward_with_taps.") for n in checked)
+
+
+def test_traced_pool_function_exists(monkeypatch):
+    from layerlens import cli
+
+    pool_fn = _load(monkeypatch, "tracer").POOL_FN
+    assert inspect.isfunction(getattr(cli, pool_fn, None)), pool_fn

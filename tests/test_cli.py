@@ -324,8 +324,8 @@ def test_explain_outputs_and_equivalence(pipeline):
         image_id, method, tap = row[0], row[1], int(row[2])
         ann = by_id[image_id]
         image = dat.read_image(out / "dataset" / ann.path)
-        amap = ex.grad_cam(*net.backward_to_tap(spec, params, image[None], ann.label, (tap,)),
-                           (tap,), (32, 32))[tap]
+        acts, grads = net.backward_to_tap(spec, params, image[None], ann.label, (tap,))
+        amap = ex.grad_cam(acts[tap][0], grads[tap][0], (32, 32))
         smooth = ex.gaussian_smooth(amap, cfg["explain"]["sigma"])
         mask = lm.binarize_percentile(smooth.values, cfg["explain"]["percentile"])
         gt = lm.rasterize_box(ann.box, (32, 32))
@@ -656,7 +656,9 @@ def test_explain_non_finite_weights_exit_1(pipeline, tmp_path, capsys):
     assert not list((out / "explain_weights_nan").rglob("*.pgm"))
 
 
-def test_explain_one_backward_per_image(pipeline, tmp_path, monkeypatch):
+def test_explain_one_backward_per_chunk(pipeline, tmp_path, monkeypatch):
+    """Grad-CAM and saliency take one backward pass per chunk of at most
+    ``MAP_CHUNK`` test images, each image's gradient that of its own label."""
     cfg_path, out = pipeline
     weights = tmp_path / "weights_count.llw"
     weights.write_bytes((out / "weights_e2e.llw").read_bytes())
@@ -664,13 +666,17 @@ def test_explain_one_backward_per_image(pipeline, tmp_path, monkeypatch):
     backward = net.backward_to_tap
 
     def counted(spec, params, batch, class_index, taps):
-        calls.append(tuple(taps))
+        calls.append((list(class_index), tuple(taps)))
         return backward(spec, params, batch, class_index, taps)
     monkeypatch.setattr(net, "backward_to_tap", counted)
+    monkeypatch.setattr(cli, "MAP_CHUNK", 5)
     assert main(["--config", str(cfg_path), "explain", "--weights", str(weights),
                  "--methods", "grad_cam,saliency", "--taps", "1,2,3,4,5,6"]) == 0
-    n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
-    assert calls == [(1, 2, 3, 4, 5, 6, 0)] * n_test
+    manifest = dat.load_manifest(out / "dataset" / "manifest.txt")
+    labels = [a.label for a in manifest.by_split("test")]
+    n_test = len(labels)
+    assert n_test % 5  # a short last chunk
+    assert calls == [(labels[lo:lo + 5], (1, 2, 3, 4, 5, 6, 0)) for lo in range(0, n_test, 5)]
     _, _, rows = read_csv(out / "explain_weights_count" / "metrics.csv")
     assert len(rows) == n_test * 6 * 2
 
@@ -705,12 +711,12 @@ def test_batched_lime_equals_per_sample_lime(pipeline, tmp_path):
     assert cfg["explain"]["lime"]["n_samples"] % cli.LIME_BATCH  # a ragged last batch
     for seed in (0, 1):
         params = net.init_params(cfg.spec, seed)
-        for ann, image in zip(anns, x):
-            maps = cli._image_maps(params, ann, image, cfg, ["lime"], [2, 4], 50.0)
+        maps = cli._image_maps(params, anns, x, cfg, ["lime"], [2, 4], 50.0)
+        for i, (ann, image) in enumerate(zip(anns, x)):
             heat, mask = _per_sample_lime(cfg.spec, params, ann, image, cfg)
             for tap in (2, 4):
-                assert np.array_equal(maps["lime", tap][0], heat)
-                assert np.array_equal(maps["lime", tap][1], mask)
+                assert np.array_equal(maps["lime", tap][0][i], heat)
+                assert np.array_equal(maps["lime", tap][1][i], mask)
 
 
 def test_explain_lime_forwards_in_batches(pipeline, tmp_path, monkeypatch):
@@ -734,7 +740,7 @@ def test_explain_lime_forwards_in_batches(pipeline, tmp_path, monkeypatch):
 
 def test_explain_one_spectrum_per_mask(pipeline, tmp_path, monkeypatch):
     """Saliency and LIME give one mask for every tap, so one spectrum each;
-    Grad-CAM gives one per tap. An image's masks go in one stacked call."""
+    Grad-CAM gives one per tap. A chunk's masks go in one stacked call."""
     cfg_path, out = pipeline
     weights = tmp_path / "weights_gran.llw"
     weights.write_bytes((out / "weights_e2e.llw").read_bytes())
@@ -748,8 +754,8 @@ def test_explain_one_spectrum_per_mask(pipeline, tmp_path, monkeypatch):
     assert main(["--config", str(cfg_path), "explain", "--weights", str(weights),
                  "--methods", "grad_cam,saliency,lime", "--taps", "1,2,3,4,5,6"]) == 0
     n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
-    assert len(calls) == n_test
-    assert all(np.shape(stack)[0] == 6 + 1 + 1 for stack in calls)
+    assert n_test <= cli.MAP_CHUNK
+    assert [np.shape(stack)[0] for stack in calls] == [n_test * (6 + 1 + 1)]
     _, _, rows = read_csv(out / "explain_weights_gran" / "metrics.csv")
     assert len(rows) == n_test * 6 * 3
 
@@ -776,14 +782,23 @@ class _InlinePool:
 
 
 def test_jobs_capped_at_work_items(pipeline, tmp_path, monkeypatch):
+    """LIME explains one image per pool task, with no more threads than
+    images; the gradient maps of every verb use no pool."""
     cfg_path, out = pipeline
     weights = tmp_path / "weights_jobs.llw"
     weights.write_bytes((out / "weights_e2e.llw").read_bytes())
     requested = []
     monkeypatch.setattr(cli, "ThreadPoolExecutor", _InlinePool(requested))
-    assert main(["--config", str(cfg_path), "--jobs", "64", "explain",
-                 "--weights", str(weights), "--taps", "2"]) == 0
+    jobs = ["--config", str(cfg_path), "--jobs", "64"]
+    assert main([*jobs, "explain", "--weights", str(weights), "--methods", "lime",
+                 "--taps", "2"]) == 0
     n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
+    assert requested == [n_test]
+    assert main([*jobs, "explain", "--weights", str(weights),
+                 "--methods", "grad_cam,saliency"]) == 0
+    assert main([*jobs, "compare", "--weights-cl", str(out / "weights_cl_k6.llw"),
+                 "--weights-e2e", str(weights)]) == 0
+    assert main([*jobs, "granulometry", "--weights", str(weights)]) == 0
     assert requested == [n_test]
     # no pool at all for zero or one item, whatever --jobs says
     assert cli._pool_map(lambda v: v + 1, [], 8) == []
@@ -892,14 +907,48 @@ def test_rerun_overwrites_identical_bytes(tmp_path):
     assert len(first) > 60  # images, weights, csvs, heatmaps, metas
 
 
-def test_jobs_flag_does_not_change_outputs(tmp_path):
-    cfg_path = make_config(tmp_path)
+@pytest.fixture(scope="module")
+def attribution_run(tmp_path_factory):
+    """A trained run whose config explains with all three methods, and a
+    function that reruns explain, compare and granulometry with extra global
+    flags and returns every output file's bytes but the dataset's."""
+    tmp_path = tmp_path_factory.mktemp("attribution")
+    cfg_path = make_config(tmp_path, explain={"methods": ["grad_cam", "saliency", "lime"],
+                                              "taps": [1, 3, 6], "lime": {"n_samples": 20}})
     out = tmp_path / "run"
-    assert main(["--config", str(cfg_path), "generate"]) == 0
-    assert main(["--config", str(cfg_path), "train", "--scheme", "e2e"]) == 0
-    w = str(out / "weights_e2e.llw")
-    assert main(["--config", str(cfg_path), "explain", "--weights", w]) == 0
-    serial = (out / "explain_weights_e2e" / "metrics.csv").read_bytes()
-    assert main(["--config", str(cfg_path), "--jobs", "3",
-                 "explain", "--weights", w]) == 0
-    assert (out / "explain_weights_e2e" / "metrics.csv").read_bytes() == serial
+    flags = ["--config", str(cfg_path)]
+    for verb in (["generate"], ["train", "--scheme", "e2e"], ["train", "--scheme", "cl"]):
+        assert main([*flags, *verb]) == 0
+    e2e, cl = str(out / "weights_e2e.llw"), str(out / "weights_cl_k6.llw")
+
+    def outputs(*extra):
+        assert main([*flags, *extra, "explain", "--weights", e2e]) == 0
+        assert main([*flags, *extra, "compare", "--weights-cl", cl, "--weights-e2e", e2e]) == 0
+        assert main([*flags, *extra, "granulometry", "--weights", cl, "--taps", "6,2,4"]) == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and p.parts[len(out.parts)] != "dataset"}
+    return out, outputs
+
+
+def test_jobs_flag_does_not_change_outputs(attribution_run):
+    """Every attribution verb, LIME included, writes the same bytes at any
+    ``--jobs``."""
+    _, outputs = attribution_run
+    serial = outputs("--jobs", "1")
+    assert any("lime" in name for name in serial)
+    assert "compare_pairs.csv" in serial and "granulometry_weights_cl_k6.csv" in serial
+    assert outputs("--jobs", "3") == serial
+
+
+def test_map_chunk_size_does_not_change_outputs(attribution_run, monkeypatch):
+    """Chunks of one image each, chunks of 5 with a short last one and one
+    chunk of the whole test split write the same bytes from every
+    attribution verb: each image's maps, masks and spectra come back to it
+    from the chunk's stacks."""
+    out, outputs = attribution_run
+    n_test = len(dat.load_manifest(out / "dataset" / "manifest.txt").by_split("test"))
+    assert n_test % 5 and n_test <= cli.MAP_CHUNK
+    whole = outputs()
+    for chunk in (1, 5):
+        monkeypatch.setattr(cli, "MAP_CHUNK", chunk)
+        assert outputs() == whole

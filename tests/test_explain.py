@@ -120,9 +120,9 @@ def test_grad_cam_equals_brute_force_on_model(conv_spec):
     rng = make_rng(6)
     img = rng.uniform(0, 1, (1, 8, 8))
     tap, cls = 2, 0
-    amap = ex.grad_cam(*net.backward_to_tap(conv_spec, params, img[None], cls, (tap,)),
-                       (tap,), (8, 8))[tap]
-    assert amap.values.shape == (8, 8)
+    acts, grads = net.backward_to_tap(conv_spec, params, img[None], cls, (tap,))
+    amap = ex.grad_cam(acts[tap], grads[tap], (8, 8))
+    assert amap.values.shape == (1, 8, 8)
     assert amap.values.min() >= 0
 
     _, taps = net.forward_with_taps(conv_spec, params, img[None], depth=tap)
@@ -144,7 +144,7 @@ def test_grad_cam_nonnegative_random_models():
         params = net.init_params(spec, trial)
         img = rng.standard_normal((1, 6, 6))
         acts, grads = net.backward_to_tap(spec, params, img[None], int(rng.integers(2)), (1,))
-        amap = ex.grad_cam(acts, grads, (1,), (6, 6))[1]
+        amap = ex.grad_cam(acts[1], grads[1], (6, 6))
         assert amap.values.min() >= 0
 
 
@@ -163,16 +163,19 @@ def _two_pass_grad(spec, params, batch, cls, tap):
 
 def test_one_pass_grad_cam_equals_two_pass_per_tap(monkeypatch):
     """On the preset net, ``cli._image_maps`` gives every Grad-CAM and saliency
-    heatmap and mask from one backward pass, bit for bit those of a separate
-    forward and backward per tap and one more for saliency."""
+    heatmap and mask of a chunk of images with mixed labels from one backward
+    pass, bit for bit those of a separate forward and backward per image and
+    tap and one more for saliency; a batch longer than one chunk takes one
+    pass per chunk."""
     cfg = load_config("preset-localise")
     spec, sigma, pct = cfg.spec, cfg["explain"]["sigma"], cfg["explain"]["percentile"]
     taps = [1, 2, 3, 4, 5, 6]
+    n = cli.MAP_CHUNK + 5
     forward, backward = net.forward_with_taps, net.backward_to_tap
     calls = []
 
     def counted(*args):
-        calls.append(args[4])
+        calls.append((len(args[2]), args[4]))
         return backward(*args)
 
     def smoothed(values):
@@ -180,34 +183,69 @@ def test_one_pass_grad_cam_equals_two_pass_per_tap(monkeypatch):
         return heat, lm.binarize_percentile(heat, pct)
 
     rng = make_rng(10)
-    for seed in range(4):
+    for seed in range(2):
         params = net.init_params(spec, seed)
-        img = rng.uniform(0, 1, (1, 32, 32))
-        for cls in range(3):
-            # reference: taps from a forward to each depth, gradients from a
-            # separate full forward and backward per tap
-            refs = {}
+        images = rng.uniform(0, 1, (n, 1, 32, 32))
+        anns = [SimpleNamespace(label=int(c)) for c in rng.integers(0, 3, n)]
+        assert {a.label for a in anns} == {0, 1, 2}
+        # reference: per image, taps from a forward to each depth, gradients
+        # from a separate full forward and backward per tap
+        refs = []
+        for img, ann in zip(images, anns):
+            ref = {}
             for tap in taps:
                 _, acts = forward(spec, params, img[None], depth=tap)
-                g = _two_pass_grad(spec, params, img[None], cls, tap)
-                refs["grad_cam", tap] = smoothed(
+                g = _two_pass_grad(spec, params, img[None], ann.label, tap)
+                ref["grad_cam", tap] = smoothed(
                     ex.bilinear_resize(ex.cam_values(acts[tap][0], g[0]), 32, 32))
-            g0 = _two_pass_grad(spec, params, img[None], cls, 0)
-            refs.update(dict.fromkeys((("saliency", t) for t in taps),
-                                      smoothed(np.abs(g0[0]).max(axis=0))))
+            g0 = _two_pass_grad(spec, params, img[None], ann.label, 0)
+            ref.update(dict.fromkeys((("saliency", t) for t in taps),
+                                     smoothed(np.abs(g0[0]).max(axis=0))))
+            refs.append(ref)
 
-            monkeypatch.setattr(net, "forward_with_taps", None)  # one pass only
-            monkeypatch.setattr(net, "backward_to_tap", counted)
-            calls.clear()
-            maps = cli._image_maps(params, SimpleNamespace(label=cls), img, cfg,
-                                   ["grad_cam", "saliency"], taps, pct)
-            monkeypatch.setattr(net, "forward_with_taps", forward)
-            monkeypatch.setattr(net, "backward_to_tap", backward)
-            assert calls == [(*taps, 0)]
-            assert sorted(maps) == sorted(refs)
-            for key, (heat, mask) in refs.items():
-                assert np.array_equal(maps[key][0], heat)
-                assert np.array_equal(maps[key][1], mask)
+        monkeypatch.setattr(net, "forward_with_taps", None)  # one pass only
+        monkeypatch.setattr(net, "backward_to_tap", counted)
+        calls.clear()
+        chunks = cli._chunks(anns, images)
+        maps = [cli._image_maps(params, chunk_anns, chunk_x, cfg,
+                                ["grad_cam", "saliency"], taps, pct)
+                for chunk_anns, chunk_x in chunks]
+        monkeypatch.setattr(net, "forward_with_taps", forward)
+        monkeypatch.setattr(net, "backward_to_tap", backward)
+        assert calls == [(cli.MAP_CHUNK, (*taps, 0)), (5, (*taps, 0))]
+        got = [{key: (heat[i], mask[i]) for key, (heat, mask) in chunk_maps.items()}
+               for chunk_maps, (chunk_anns, _) in zip(maps, chunks)
+               for i in range(len(chunk_anns))]
+        assert len(got) == n
+        for ref, image_maps in zip(refs, got):
+            assert sorted(image_maps) == sorted(ref)
+            for key, (heat, mask) in ref.items():
+                assert np.array_equal(image_maps[key][0], heat)
+                assert np.array_equal(image_maps[key][1], mask)
+
+
+def test_stacked_maps_equal_per_image_maps():
+    """``cam_values``, ``bilinear_resize`` and ``saliency`` on an (n, ...)
+    stack give each image the bytes of its own call."""
+    rng = make_rng(21)
+    for n, k, h, w in [(1, 8, 32, 32), (7, 16, 16, 16), (32, 32, 8, 8), (5, 3, 5, 7)]:
+        a = np.maximum(rng.standard_normal((n, k, h, w)), 0.0)
+        g = rng.standard_normal((n, k, h, w)) * 1e-3
+        cam = ex.cam_values(a, g)
+        assert cam.shape == (n, h, w)
+        for i in range(n):
+            assert np.array_equal(cam[i], ex.cam_values(a[i], g[i]))
+        for out_h, out_w in [(32, 32), (h, w), (9, 13)]:
+            resized = ex.bilinear_resize(cam, out_h, out_w)
+            assert resized.shape == (n, out_h, out_w)
+            for i in range(n):
+                assert np.array_equal(resized[i], ex.bilinear_resize(cam[i], out_h, out_w))
+        sal = ex.saliency(g).values
+        assert sal.shape == (n, h, w)
+        for i in range(n):
+            assert np.array_equal(sal[i], ex.saliency(g[i]).values)
+    with pytest.raises(ShapeError):
+        ex.cam_values(np.zeros((4, 4)), np.zeros((4, 4)))
 
 
 def test_backward_to_tap_records_each_tap(conv_spec):
@@ -322,8 +360,7 @@ def test_smooth_stack_bytes_match_each_map(seed, n, h, w, sigma):
     from scipy import ndimage
 
     stack = make_rng(seed).uniform(0, 1, (n, h, w))
-    got = np.stack([m.values for m in ex.gaussian_smooth(
-        [ex.AttributionMap(v) for v in stack], sigma)])
+    got = ex.gaussian_smooth(ex.AttributionMap(stack), sigma).values
     assert got.tobytes() == np.stack(
         [ex.gaussian_smooth(ex.AttributionMap(v), sigma).values for v in stack]).tobytes()
     assert got.tobytes() == np.maximum(

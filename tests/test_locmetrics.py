@@ -54,6 +54,24 @@ def test_binarize_rejects_bad_percentile():
         lm.binarize_percentile(np.ones((2, 2)), 100)
 
 
+def test_binarize_stack_equals_each_map():
+    """A (..., h, w) stack is binarised as each map alone, ties included:
+    constant maps, coarsely rounded values and a map of zeros and -0.0."""
+    rng = make_rng(31)
+    for shape in [(1, 32, 32), (7, 32, 32), (3, 4, 9, 13), (32, 5, 5)]:
+        stack = np.round(rng.uniform(0, 1, shape), 1)
+        stack[0] = 0.5
+        if shape[0] > 1:
+            stack[1] = np.where(rng.random(shape[1:]) < 0.5, 0.0, -0.0)
+        for p in (10.0, 50.0, 90.0, 99.5):
+            masks = lm.binarize_percentile(stack, p)
+            assert masks.shape == shape and masks.dtype == bool
+            for idx in np.ndindex(shape[:-2]):
+                assert np.array_equal(masks[idx], lm.binarize_percentile(stack[idx], p))
+    with pytest.raises(ShapeError):
+        lm.binarize_percentile(np.ones(4), 50)
+
+
 # ---------------------------------------------------------------------------
 # iou
 

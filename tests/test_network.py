@@ -181,19 +181,57 @@ def test_forward_rows_independent_of_batch():
 
 def test_backward_rows_independent_of_batch():
     """On a batch of 12, each row's activations and gradients at taps 0-6
-    equal the batch-1 call, bit for bit, on the preset and the narrow net."""
+    equal the batch-1 call, bit for bit, on the preset and the narrow net,
+    with one class for every row and with each row's own class."""
     rng = make_rng(13)
     taps = tuple(range(7))
     for widths, seed in [(w, s) for w in BATCH_INVARIANCE_WIDTHS for s in range(2)]:
         spec = net.build_six_layer_net((1, 32, 32), 3, widths)
         params = net.init_params(spec, seed)
         x = rng.uniform(0, 1, (12, 1, 32, 32))
-        acts, grads = net.backward_to_tap(spec, params, x, seed % 3, taps)
-        for i in range(12):
-            ref_acts, ref_grads = net.backward_to_tap(spec, params, x[i:i + 1], seed % 3, taps)
-            for t in taps:
-                assert np.array_equal(acts[t][i], ref_acts[t][0])
-                assert np.array_equal(grads[t][i], ref_grads[t][0])
+        labels = rng.integers(0, 3, 12)
+        for class_index in (seed % 3, labels):
+            rows = np.broadcast_to(class_index, 12)
+            acts, grads = net.backward_to_tap(spec, params, x, class_index, taps)
+            for i in range(12):
+                ref_acts, ref_grads = net.backward_to_tap(spec, params, x[i:i + 1],
+                                                          int(rows[i]), taps)
+                for t in taps:
+                    assert np.array_equal(acts[t][i], ref_acts[t][0])
+                    assert np.array_equal(grads[t][i], ref_grads[t][0])
+
+
+def _two_dense_tail_net():
+    layers = [net.Conv(4, 3), net.Relu(), net.Pool(2), net.Flatten(),
+              net.Dense(24), net.Relu(), net.Dense(3)]
+    return net.NetworkSpec(layers, (1, 16, 16), 3)
+
+
+def test_forward_tail_equals_per_row_loop():
+    """The layers after the last tap give each row the bytes of running them
+    on that row alone, on the preset net, the narrow net and a tail with two
+    dense layers."""
+    rng = make_rng(14)
+    specs = [net.build_six_layer_net((1, 32, 32), 3, w) for w in BATCH_INVARIANCE_WIDTHS]
+    for spec in specs + [_two_dense_tail_net()]:
+        top, last = spec.after_tap(spec.tap_count), len(spec.layers) - 1
+        for seed in range(3):
+            params = net.init_params(spec, seed)
+            x = rng.uniform(0, 1, (150, *spec.input_shape))
+            scores, taps = net.forward_with_taps(spec, params, x)
+            tap = taps[spec.tap_count]
+            rows = np.concatenate([net.run_span(spec, params, tap[r:r + 1], top, last)
+                                   for r in range(len(tap))])
+            assert scores.tobytes() == rows.tobytes()
+
+
+def test_backward_class_index_shape_must_fit_batch(tiny_net):
+    params = net.init_params(tiny_net, 0)
+    x = np.zeros((3, 1, 8, 8))
+    with pytest.raises(ShapeError, match="class index shape"):
+        net.backward_to_tap(tiny_net, params, x, np.array([0, 1]), (0,))
+    with pytest.raises(SpecError, match="class index 3 out of range"):
+        net.backward_to_tap(tiny_net, params, x, np.array([0, 3, 1]), (0,))
 
 
 def test_forward_shape_mismatch(tiny_net):
